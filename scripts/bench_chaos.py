@@ -525,6 +525,9 @@ def leg_hung_cancel() -> dict:
 
 
 def smoke() -> int:
+    from repro import zoo
+    from repro.service.wire import structure_to_json
+
     payload = _screen_payload(
         count=4, nodes=24, density=4.0, queries=8, size=8
     )
@@ -546,8 +549,14 @@ def smoke() -> int:
             assert final["status"] == "done", final
             assert final["attempts"] == 2, final
             assert _digest(final["result"]["matrix"]) == oracle
-            # cancel a queued job; its SSE stream ends in `cancelled`
-            blocker = client.submit("screen", payload)
+            # cancel a queued job; its SSE stream ends in `cancelled`.
+            # The blocker is about a second of work no earlier job
+            # settled (a repeat of the screen above answers from the
+            # store in milliseconds), so `doomed` is still queued behind
+            # it when the cancel arrives.
+            blocker = client.submit(
+                "decide", {"query": structure_to_json(zoo.q2())}
+            )
             doomed = client.submit("screen", payload)
             got = client.cancel(doomed["id"])
             assert got["status"] in ("cancelled", "running"), got

@@ -37,30 +37,36 @@ machine's CPU count, ``<= 1`` after resolution disables parallelism).
 threshold of the *default* session at runtime; :func:`shutdown_pool`
 releases its workers.  Pool creation failure (sandboxes without process
 support) permanently degrades that runtime to the serial path — never
-an error.
+an error.  Every worker watches the process that spawned it and exits
+once that parent is gone, so a SIGKILLed caller leaves no idle workers
+behind.
 
 Sharded entry points
 ====================
 
-:func:`parallel_evaluate_batch` and :func:`parallel_covers_any` mirror
-their serial counterparts exactly.  Batches smaller than ``min_batch``
-(``EngineConfig.parallel_min``, default 24) — and all batches when the
-pool is disabled or unavailable — take the serial fast path, sharing
-the in-process hom-cache; large batches are chunked across the
-workers.  ``covers_any`` keeps its early-exit semantics: the scan
-returns as soon as any chunk reports a hit and cancels chunks that
-have not started.
+:meth:`PoolRuntime.run_chunks` is the one shard executor: the only
+code that submits work to the pool.  It yields ``(shard_index,
+result)`` in completion order and owns the whole fault story (per-shard
+timeout, result validation, one retry on a rebuilt pool, in-parent
+execution of the shards that still failed); closing it early cancels
+the shards that have not started.  Every entry point consumes it.
+Batches smaller than ``min_batch`` (``EngineConfig.parallel_min``,
+default 24) — and all batches when the pool is disabled or unavailable
+— take the serial path, sharing the in-process hom-cache.
 
-:func:`parallel_screen` is the many-queries x one-family shape (zoo
-bulk classification, UCQ disjunct sweeps, E1-style tables): the family
-is wired once, each worker rebuilds its chunk once, and every query is
-answered against the rebuilt chunk — amortising the per-instance
-serialisation and index-rebuild cost across the whole query pool.
-:func:`parallel_screen_stream` is its streaming variant: a generator of
-:class:`ScreenShard` results in *completion order* (not chunk order),
-so a long screen surfaces its first answers while later shards are
-still running — the consumer behind
-:meth:`repro.session.Session.screen` with ``stream=True``.
+* :func:`parallel_evaluate_batch`, :func:`parallel_semiring_batch` and
+  :func:`parallel_ucq_answers` collect the executor in input order.
+* :func:`parallel_covers_any` returns at the first chunk that reports a
+  hit, closing the executor.
+* :func:`parallel_screen_stream` is the one screen pipeline, for the
+  many-queries x one-family shape (zoo bulk classification, UCQ
+  disjunct sweeps, the service's screen jobs): the family is wired
+  once, each worker rebuilds its chunk once and answers every query
+  against it, and :class:`ScreenShard` results stream out in
+  completion order, with checkpoint replay and resume when a durable
+  store is attached.  Its serial path walks instance by instance under
+  one budget for the whole screen.  :func:`parallel_screen` is that
+  stream collected into the answer matrix.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 import weakref
 from collections import OrderedDict
@@ -77,11 +84,11 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -92,6 +99,7 @@ from .errors import (
     ResourceExhausted,
     UnknownSemiring,
     WorkerFailure,
+    call_budget,
     governed_scope,
 )
 from .semiring import Evaluation, Semiring, resolve_semiring
@@ -284,39 +292,6 @@ def _worker_session(config: EngineConfig | None):
     return session
 
 
-def _worker_evaluate_chunk(
-    query_wire: Wire,
-    instance_wires: list[Wire],
-    backend: str | None,
-    cache_limit: int = 0,
-    use_cache: bool | None = None,
-    config: EngineConfig | None = None,
-) -> "list[bool | str]":
-    session = _worker_session(config)
-    if _take_fault() == "corrupt":
-        return "corrupt"  # type: ignore[return-value]
-    query = from_wire_cached(query_wire, cache_limit)
-    if config is not None and config.governed:
-        # One budget per chunk task: each worker gets the full
-        # per-operation fuel/deadline for its shard, and exhaustion
-        # travels back as reason-string entries, not an exception.
-        with governed_scope(session):
-            return homengine.evaluate_batch_governed(
-                query,
-                [from_wire_cached(w, cache_limit) for w in instance_wires],
-                backend=backend,
-                use_cache=use_cache,
-                session=session,
-            )
-    return homengine.evaluate_batch(
-        query,
-        (from_wire_cached(w, cache_limit) for w in instance_wires),
-        backend=backend,
-        use_cache=use_cache,
-        session=session,
-    )
-
-
 def _worker_semiring_chunk(
     query_wire: Wire,
     instance_wires: list[Wire],
@@ -410,6 +385,37 @@ def _worker_ucq_chunk(
     return answers
 
 
+def _screen_columns(queries, instances, backend, use_cache, session, budget):
+    """Yield each instance's answer column (one entry per query),
+    instance by instance, every answer charged to the one ``budget``.
+
+    Once the budget trips, every later entry is its reason tag (the
+    wire form of ``Answer.unknown``), so the answers settled before the
+    trip survive.  Shared by the screen's serial path and its worker
+    chunks.
+    """
+    reason: str | None = None
+    for instance in instances:
+        column: "list[bool | str]" = []
+        for q in queries:
+            if reason is None:
+                try:
+                    if budget is not None:
+                        budget.checkpoint()
+                    column.append(
+                        homengine.has_homomorphism(
+                            q, instance, backend=backend,
+                            use_cache=use_cache, session=session,
+                            budget=budget,
+                        )
+                    )
+                    continue
+                except ResourceExhausted as exc:
+                    reason = exc.reason
+            column.append(reason)
+        yield column
+
+
 def _worker_screen_chunk(
     query_wires: list[Wire],
     instance_wires: list[Wire],
@@ -418,27 +424,20 @@ def _worker_screen_chunk(
     use_cache: bool | None = None,
     config: EngineConfig | None = None,
 ) -> "list[list[bool | str]]":
+    """One screen shard: the answer column of each instance in the
+    chunk.  One budget per chunk task: each worker gets the full
+    per-operation fuel/deadline for its shard."""
     session = _worker_session(config)
     if _take_fault() == "corrupt":
-        return []  # wrong row count for any non-empty query pool
+        return []  # wrong column count for any non-empty chunk
     queries = [from_wire_cached(w, cache_limit) for w in query_wires]
     instances = [from_wire_cached(w, cache_limit) for w in instance_wires]
-    if config is not None and config.governed:
-        with governed_scope(session):
-            return [
-                homengine.evaluate_batch_governed(
-                    q, instances, backend=backend, use_cache=use_cache,
-                    session=session,
-                )
-                for q in queries
-            ]
-    return [
-        homengine.evaluate_batch(
-            q, instances, backend=backend, use_cache=use_cache,
-            session=session,
+    with governed_scope(session) as budget:
+        return list(
+            _screen_columns(
+                queries, instances, backend, use_cache, session, budget
+            )
         )
-        for q in queries
-    ]
 
 
 def _worker_covers_chunk(
@@ -514,6 +513,35 @@ def _shutdown_all_pools() -> None:
 
 
 atexit.register(_shutdown_all_pools)
+
+# How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _watch_parent() -> None:
+    """Pool-worker initializer: exit the worker once its parent is gone.
+
+    The atexit sweep above never runs for a SIGKILLed parent, and its
+    idle workers would otherwise sit re-parented to init indefinitely.
+    A daemon thread polls ``os.getppid()``, which changes when the
+    parent dies.
+
+    A worker forked from an asyncio program (``repro serve``) also
+    inherits its SIGTERM handler and signal wakeup fd, so the SIGTERM
+    that :meth:`PoolRuntime.mark_failed` sends would leave the worker
+    running and reach the parent's event loop as a SIGTERM of its own
+    (a server drain).  Both are reset to the defaults here.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 class PoolRuntime:
@@ -622,7 +650,9 @@ class PoolRuntime:
             self._failures = 0
         if self._pool is None:
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_watch_parent
+                )
                 self._pool_size = self.workers
             except (OSError, ValueError):  # no process support here
                 self._quarantine("spawn-failed")
@@ -682,66 +712,74 @@ class PoolRuntime:
             return None, None
         return pool, _chunk(items, min(eff_workers, self._pool_size) * 2)
 
-    def run_chunks(self, pool, worker, args_list, validate=None,
-                   on_result=None):
-        """Run one task per argument tuple with the full fault story.
+    def run_chunks(self, pool, worker, args_list, validate):
+        """Run one task per argument tuple; yield ``(i, result)`` for
+        every ``args_list[i]``, in completion order, exactly once.
 
-        Per-shard timeouts (``shard_timeout_ms``), parent-side result
-        validation (a corrupt wire result raises
+        The one shard executor, with the full fault story: a per-shard
+        timeout (``shard_timeout_ms`` without any shard completing marks
+        every outstanding shard hung), parent-side result validation (a
+        result ``validate`` rejects is a
         :class:`~repro.core.errors.WorkerFailure`), one retry round of
         only the failed shards on a rebuilt pool, and — when the retry
-        fails too and the runtime is quarantined — in-parent serial
-        execution of the stragglers, running the *same* chunk
-        functions, where fault injection never fires and engine
-        exceptions propagate normally.  Always returns a full,
-        input-ordered result list.
-
-        ``on_result(i, result)``, when given, fires once per shard as
-        its *validated* result lands — the checkpoint hook: a crash
-        later in the round cannot un-settle shards already reported.
+        fails too and the runtime is quarantined — in-parent execution
+        of the stragglers, running the *same* chunk functions, where
+        fault injection never fires and engine exceptions propagate
+        normally.  Closing the generator early cancels every shard that
+        has not started.
         """
-        results: list = [None] * len(args_list)
         pending = list(range(len(args_list)))
         for attempt in (0, 1):
             if pool is None:
                 break
-            still_failed: list[int] = []
+            failed: list[int] = []
             reason: str | None = None
-            futures: list[tuple[int, object]] = []
-            for i in pending:
-                try:
-                    futures.append((i, pool.submit(worker, *args_list[i])))
-                except (RuntimeError, OSError, pickle.PickleError) as exc:
-                    # submit() after a concurrent shutdown raises
-                    # RuntimeError; unpicklable args surface here too.
-                    reason = f"submit:{type(exc).__name__}"
-                    still_failed.append(i)
-            for i, future in futures:
-                try:
-                    result = future.result(timeout=self.shard_timeout)
-                    if validate is not None and not validate(
-                        result, args_list[i]
-                    ):
-                        raise WorkerFailure("corrupt worker result shape")
-                    results[i] = result
-                    if on_result is not None:
-                        on_result(i, result)
-                except (*_POOL_FAILURES, WorkerFailure) as exc:
-                    reason = type(exc).__name__
+            futures: dict = {}
+            try:
+                for i in pending:
+                    try:
+                        futures[pool.submit(worker, *args_list[i])] = i
+                    except (RuntimeError, OSError, pickle.PickleError) as exc:
+                        # submit() after a concurrent shutdown raises
+                        # RuntimeError; unpicklable args surface here too.
+                        reason = f"submit:{type(exc).__name__}"
+                        failed.append(i)
+                outstanding = set(futures)
+                while outstanding:
+                    done, outstanding = wait(
+                        outstanding,
+                        timeout=self.shard_timeout,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if not done:
+                        reason = "TimeoutError"
+                        failed.extend(futures[f] for f in outstanding)
+                        break
+                    for future in done:
+                        i = futures[future]
+                        try:
+                            result = future.result()
+                            if not validate(result, args_list[i]):
+                                raise WorkerFailure(
+                                    "corrupt worker result shape"
+                                )
+                        except (*_POOL_FAILURES, WorkerFailure) as exc:
+                            reason = type(exc).__name__
+                            failed.append(i)
+                            continue
+                        yield i, result
+            finally:
+                for future in futures:
                     future.cancel()
-                    still_failed.append(i)
-            if not still_failed:
+            if not failed:
                 self.mark_healthy()
-                return results
-            pending = sorted(still_failed)
+                return
+            pending = sorted(failed)
             self.mark_failed(reason)
             pool = self.get_pool() if attempt == 0 else None
         # Quarantined (or pool gone): finish the stragglers in-parent.
         for i in pending:
-            results[i] = worker(*args_list[i])
-            if on_result is not None:
-                on_result(i, results[i])
-        return results
+            yield i, worker(*args_list[i])
 
 
 def _runtime(session) -> PoolRuntime:
@@ -846,10 +884,10 @@ def _validate_row(result, args) -> bool:
 def _validate_screen(result, args) -> bool:
     return (
         isinstance(result, list)
-        and len(result) == len(args[0])
+        and len(result) == len(args[1])
         and all(
-            isinstance(row, list) and len(row) == len(args[1])
-            for row in result
+            isinstance(column, list) and len(column) == len(args[0])
+            for column in result
         )
     )
 
@@ -859,42 +897,29 @@ def _validate_covers(result, args) -> bool:
 
 
 def _sharded_ordered(
-    rt, items, eff_workers, threshold, worker, make_args, validate=None,
-    on_chunk=None,
+    rt, items, eff_workers, threshold, worker, make_args, validate
 ):
     """Run ``worker`` over chunks of ``items``, collecting in order.
 
     The shared scaffolding of the order-preserving entry points:
     gate/chunk via :meth:`PoolRuntime.shard_chunks`, build one argument
     tuple per chunk (``make_args`` is only called on the parallel path,
-    so shared wire forms are not built for serial batches), and
-    delegate to :meth:`PoolRuntime.run_chunks` — which owns the
-    timeout/retry/quarantine fault story and always returns a full
-    input-ordered result list.  Returns ``None`` only for the serial
-    gate (small batch, single worker, no usable pool); worker faults
-    are recovered *inside* ``run_chunks``, and anything else a worker
-    raises is an engine bug that propagates.
-
-    ``on_chunk(start, chunk, result)``, when given, fires per settled
-    chunk with the chunk's offset into ``items`` (the checkpoint hook
-    threaded down to :meth:`PoolRuntime.run_chunks`'s ``on_result``).
+    so shared wire forms are not built for serial batches), and collect
+    :meth:`PoolRuntime.run_chunks` — which owns the
+    timeout/retry/quarantine fault story — into a chunk-ordered result
+    list.  Returns ``None`` only for the serial gate (small batch,
+    single worker, no usable pool); worker faults are recovered
+    *inside* ``run_chunks``, and anything else a worker raises is an
+    engine bug that propagates.
     """
     pool, chunks = rt.shard_chunks(items, eff_workers, threshold)
     if pool is None:
         return None
     args_list = [make_args(chunk) for chunk in chunks]
-    on_result = None
-    if on_chunk is not None:
-        starts = []
-        pos = 0
-        for chunk in chunks:
-            starts.append(pos)
-            pos += len(chunk)
-
-        def on_result(i, result):
-            on_chunk(starts[i], chunks[i], result)
-
-    return rt.run_chunks(pool, worker, args_list, validate, on_result)
+    results: list = [None] * len(args_list)
+    for i, result in rt.run_chunks(pool, worker, args_list, validate):
+        results[i] = result
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -929,8 +954,9 @@ def parallel_evaluate_batch(
     shared: dict = {}
 
     def make_args(chunk):
+        # A one-query screen: each chunk comes back as one-entry columns.
         if "query" not in shared:
-            shared["query"] = to_wire(query)
+            shared["query"] = [to_wire(query)]
         return (
             shared["query"],
             [to_wire(s) for s in chunk],
@@ -945,9 +971,9 @@ def parallel_evaluate_batch(
         instances,
         rt.workers if workers is None else workers,
         rt.min_batch if min_batch is None else min_batch,
-        _worker_evaluate_chunk,
+        _worker_screen_chunk,
         make_args,
-        _validate_row,
+        _validate_screen,
     )
     if chunk_results is None:
         # Serial fast path (small batch, single worker, no pool).
@@ -961,10 +987,11 @@ def parallel_evaluate_batch(
         return homengine.evaluate_batch(
             query, instances, backend=backend, session=session
         )
-    flat = [answer for chunk in chunk_results for answer in chunk]
-    if wire_config.governed:
-        return [Answer.decode(entry) for entry in flat]
-    return flat
+    return [
+        Answer.decode(column[0])
+        for chunk in chunk_results
+        for column in chunk
+    ]
 
 
 def _validate_semiring_row(result, args) -> bool:
@@ -1126,18 +1153,6 @@ def _screen_ckpt(session, queries, instances, wire_backend):
     return (store, ns), done
 
 
-def _settled_rows(result, chunk_len, index_map, start=0):
-    """The checkpoint rows of one settled screen chunk: for each fully
-    Boolean column (no governed reason entries), ``(original_index,
-    column)``.  ``result`` is the chunk's per-query answer lists."""
-    rows = []
-    for j in range(chunk_len):
-        col = tuple(row[j] for row in result)
-        if all(isinstance(v, bool) for v in col):
-            rows.append((index_map[start + j], col))
-    return rows
-
-
 def parallel_screen(
     queries: Sequence[Structure],
     instances: Iterable[Structure],
@@ -1145,179 +1160,31 @@ def parallel_screen(
     backend: str | None = None,
     workers: int | None = None,
     min_batch: int | None = None,
-    on_shard=None,
     session=None,
 ) -> list[list[bool]]:
-    """Evaluate a pool of Boolean CQs over one instance family, sharded.
+    """Evaluate a pool of Boolean CQs over one instance family.
 
     Returns one answer vector per query, ``result[qi][di]`` being the
-    answer of ``queries[qi]`` on the ``di``-th instance — exactly
-    ``[evaluate_batch(q, instances) for q in queries]``, which is also
-    the serial fallback.  The parallel path shards by *instances*: the
-    family is wired once, each worker rebuilds its chunk once and
-    answers every query against it, so the per-instance serialisation
-    and index-rebuild cost is amortised over the whole query pool.
-    This is the bulk-classification traffic shape (a zoo of queries
-    screened over one :func:`~repro.workloads.generators.instance_family`).
-
-    With a durable store attached (``cache_dir`` +
-    ``durable_checkpoints``), settled instance columns are persisted
-    as they complete: a process killed mid-screen — or a governed
-    screen whose budget tripped partway — resumes from the checkpoint
-    on the next identical call, recomputing only the unsettled
-    instances and returning answers identical to an uninterrupted run.
-
-    ``on_shard(shard)``, when given, fires one :class:`ScreenShard` per
-    settled span *as it completes* — the shard-completion hook the
-    service tier's job progress reporting hangs off.  Shards arrive in
-    completion order (checkpoint-replayed spans first), carry decoded
-    tri-state answers, and jointly cover ``range(len(instances))``
-    exactly once, the same contract :func:`parallel_screen_stream`
-    yields under.
+    answer of ``queries[qi]`` on the ``di``-th instance: the
+    :func:`parallel_screen_stream` of the same arguments, collected
+    into the matrix.  Everything else — sharding, fault recovery,
+    checkpoint resume, and the single budget of a governed serial
+    screen — is the stream's, so the two forms answer identically.
     """
-    rt = _runtime(session)
-    wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
     queries = list(queries)
     instances = list(instances)
-    if not queries:
-        return []
-    nq = len(queries)
-    ckpt, ckpt_done = _screen_ckpt(session, queries, instances, wire_backend)
-    missing = [i for i in range(len(instances)) if i not in ckpt_done]
-    sub = [instances[i] for i in missing]
-
-    def emit(start: int, rows) -> None:
-        """Fire ``on_shard`` for one settled block of sub-coordinates
-        ``start..start+len``, remapped to original instance indices and
-        split where checkpointed instances interleave."""
-        if on_shard is None or not rows or not rows[0]:
-            return
-        if wire_config.governed:
-            rows = [[Answer.decode(entry) for entry in row] for row in rows]
-        span = len(rows[0])
-        j = 0
-        while j < span:
-            k = j
-            while (
-                k + 1 < span
-                and missing[start + k + 1] == missing[start + k] + 1
-            ):
-                k += 1
-            on_shard(
-                ScreenShard(
-                    missing[start + j],
-                    missing[start + k] + 1,
-                    tuple(tuple(row[j : k + 1]) for row in rows),
-                )
-            )
-            j = k + 1
-
-    if on_shard is not None and ckpt_done:
-        # Checkpoint-replayed spans complete first, by definition.
-        for start, stop in _contiguous_runs(sorted(ckpt_done)):
-            on_shard(
-                ScreenShard(
-                    start,
-                    stop,
-                    tuple(
-                        tuple(ckpt_done[i][qi] for i in range(start, stop))
-                        for qi in range(nq)
-                    ),
-                )
-            )
-    shared: dict = {}
-
-    def make_args(chunk):
-        if "queries" not in shared:
-            shared["queries"] = [to_wire(q) for q in queries]
-        return (
-            shared["queries"],
-            [to_wire(s) for s in chunk],
-            wire_backend,
-            rt.worker_cache,
-            wire_cache,
-            wire_config,
-        )
-
-    on_chunk = None
-    if ckpt is not None or on_shard is not None:
-
-        def on_chunk(start, chunk, result):
-            if ckpt is not None:
-                store, ns = ckpt
-                store.write_rows(
-                    ns, _settled_rows(result, len(chunk), missing, start)
-                )
-            emit(start, result)
-
-    chunk_results = None
-    if sub:
-        chunk_results = _sharded_ordered(
-            rt,
-            sub,
-            rt.workers if workers is None else workers,
-            rt.min_batch if min_batch is None else min_batch,
-            _worker_screen_chunk,
-            make_args,
-            _validate_screen,
-            on_chunk=on_chunk,
-        )
-    if chunk_results is None:
-        if wire_config.governed:
-            with governed_scope(session):
-                sub_rows = [
-                    homengine.evaluate_batch_governed(
-                        q, sub, backend=backend, session=session
-                    )
-                    for q in queries
-                ]
-            # Settled columns checkpoint even when the budget tripped
-            # partway: the resumed screen finishes only the UNKNOWNs.
-            if on_chunk is not None:
-                on_chunk(0, sub, sub_rows)
-            sub_rows = [
-                [Answer.decode(entry) for entry in row] for row in sub_rows
-            ]
-        elif on_chunk is not None:
-            # Checkpointing/reporting serial path: instance-major so
-            # each settled column is durable (and reported) before the
-            # next instance starts — kill -9 between instances loses
-            # at most the one in flight.
-            sub_rows = [[] for _ in queries]
-            for j, instance in enumerate(sub):
-                col = tuple(
-                    homengine.has_homomorphism(
-                        q, instance, backend=backend, session=session
-                    )
-                    for q in queries
-                )
-                for qi, v in enumerate(col):
-                    sub_rows[qi].append(v)
-                on_chunk(j, [instance], [[v] for v in col])
-        else:
-            sub_rows = [
-                homengine.evaluate_batch(
-                    q, sub, backend=backend, session=session
-                )
-                for q in queries
-            ]
-    else:
-        sub_rows = [[] for _ in queries]
-        for chunk_answers in chunk_results:
-            for qi, answers in enumerate(chunk_answers):
-                if wire_config.governed:
-                    answers = [Answer.decode(entry) for entry in answers]
-                sub_rows[qi].extend(answers)
-    if not ckpt_done:
-        return sub_rows
-    results: list[list] = [[None] * len(instances) for _ in queries]
-    for i, col in ckpt_done.items():
-        for qi in range(len(queries)):
-            results[qi][i] = col[qi]
-    for j, pos in enumerate(missing):
-        for qi in range(len(queries)):
-            results[qi][pos] = sub_rows[qi][j]
-    return results
+    matrix: list[list] = [[None] * len(instances) for _ in queries]
+    for shard in parallel_screen_stream(
+        queries,
+        instances,
+        backend=backend,
+        workers=workers,
+        min_batch=min_batch,
+        session=session,
+    ):
+        for row, answers in zip(matrix, shard.answers):
+            row[shard.start : shard.stop] = answers
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -1343,24 +1210,30 @@ def parallel_screen_stream(
     min_batch: int | None = None,
     session=None,
 ) -> Iterator[ScreenShard]:
-    """The streaming variant of :func:`parallel_screen`: yield each
-    shard's answers *as its worker completes*, not in chunk order.
+    """Screen a pool of Boolean CQs over one instance family, yielding
+    each shard's answers as it completes.
 
-    A long screen (thousands of instances, an expensive query pool)
-    surfaces its first answers while later shards are still running;
-    collecting the stream and sorting by ``start`` reproduces
-    :func:`parallel_screen` exactly (a property the tests pin).  Serial
-    batches — below ``min_batch``, single worker, pool-less sandbox —
-    yield one shard per instance as it is answered, so streaming
-    consumers behave identically (modulo shard granularity) on every
-    substrate.  A worker failure mid-stream falls back to serial
-    evaluation of the not-yet-yielded suffix; indices already yielded
-    are never re-yielded.
+    The parallel path shards by *instances*: the family is wired once,
+    each worker rebuilds its chunk once and answers every query against
+    it, so the per-instance serialisation and index-rebuild cost is
+    amortised over the whole query pool; shards arrive in completion
+    order (not chunk order), so a long screen surfaces its first
+    answers while later shards are still running.  Worker faults are
+    recovered inside :meth:`PoolRuntime.run_chunks`, and an index once
+    yielded is never yielded again.  Serial screens — below
+    ``min_batch``, single worker, pool-less sandbox — yield one shard
+    per instance as it is answered, charging one budget for the whole
+    screen (:func:`~repro.core.errors.governed_scope`): once it trips,
+    every later answer is ``Answer.unknown(reason)``.  A governed
+    worker chunk gets a budget of its own.
 
-    With a durable store attached, previously checkpointed instance
-    columns are yielded first as synthesized shards (no recompute),
-    then the remaining instances stream normally, checkpointing each
-    settled shard as it lands.
+    With a durable store attached (``cache_dir`` +
+    ``durable_checkpoints``), previously settled instance columns are
+    yielded first as synthesized shards (no recompute), and every fully
+    settled column is checkpointed as its shard lands: a process killed
+    mid-screen — or a governed screen whose budget tripped partway —
+    resumes on the next identical call, recomputing only the unsettled
+    instances.
     """
     rt = _runtime(session)
     wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
@@ -1368,50 +1241,63 @@ def parallel_screen_stream(
     instances = list(instances)
     if not queries or not instances:
         return
-    nq = len(queries)
-    ckpt, ckpt_done = _screen_ckpt(session, queries, instances, wire_backend)
-    if ckpt_done:
-        # Replay the checkpoint as contiguous synthesized shards.
-        for start, stop in _contiguous_runs(sorted(ckpt_done)):
-            yield ScreenShard(
-                start,
-                stop,
-                tuple(
-                    tuple(ckpt_done[i][qi] for i in range(start, stop))
-                    for qi in range(nq)
-                ),
-            )
-    missing = [i for i in range(len(instances)) if i not in ckpt_done]
-    if not missing:
-        return
-    sub = [instances[i] for i in missing]
-    for shard in _screen_stream_raw(
-        rt, queries, sub, backend, workers, min_batch, session,
-        wire_backend, wire_cache, wire_config,
-    ):
-        span = shard.stop - shard.start
-        result = [list(row) for row in shard.answers]
-        if ckpt is not None:
-            store, ns = ckpt
-            store.write_rows(
-                ns, _settled_rows(result, span, missing, shard.start)
-            )
-        # Remap sub-coordinate shards back to original indices,
-        # splitting where checkpointed instances interleave.
-        j = shard.start
-        while j < shard.stop:
-            k = j
-            while k + 1 < shard.stop and missing[k + 1] == missing[k] + 1:
-                k += 1
-            yield ScreenShard(
-                missing[j],
-                missing[k] + 1,
-                tuple(
-                    tuple(row[j - shard.start : k + 1 - shard.start])
-                    for row in result
-                ),
-            )
-            j = k + 1
+    ckpt, done = _screen_ckpt(session, queries, instances, wire_backend)
+    for start, stop in _contiguous_runs(sorted(done)):
+        yield ScreenShard(
+            start, stop, tuple(zip(*(done[i] for i in range(start, stop))))
+        )
+    missing = [i for i in range(len(instances)) if i not in done]
+    pool, chunks = rt.shard_chunks(
+        missing,
+        rt.workers if workers is None else workers,
+        rt.min_batch if min_batch is None else min_batch,
+    )
+    if pool is None:
+        runs = [(i, i + 1) for i in missing]
+        serial = _screen_columns(
+            queries,
+            (instances[i] for i in missing),
+            backend,
+            None,
+            session,
+            call_budget(session),
+        )
+        results = ((k, [column]) for k, column in enumerate(serial))
+    else:
+        # Each task covers one contiguous span of instance indices.
+        runs = [run for chunk in chunks for run in _contiguous_runs(chunk)]
+        query_wires = [to_wire(q) for q in queries]
+        results = rt.run_chunks(
+            pool,
+            _worker_screen_chunk,
+            [
+                (
+                    query_wires,
+                    [to_wire(s) for s in instances[start:stop]],
+                    wire_backend,
+                    rt.worker_cache,
+                    wire_cache,
+                    wire_config,
+                )
+                for start, stop in runs
+            ],
+            _validate_screen,
+        )
+    with closing(results):
+        for k, columns in results:
+            start, stop = runs[k]
+            columns = [tuple(map(Answer.decode, column)) for column in columns]
+            if ckpt is not None:
+                store, ns = ckpt
+                store.write_rows(
+                    ns,
+                    [
+                        (start + j, column)
+                        for j, column in enumerate(columns)
+                        if all(isinstance(v, bool) for v in column)
+                    ],
+                )
+            yield ScreenShard(start, stop, tuple(zip(*columns)))
 
 
 def _contiguous_runs(indices):
@@ -1423,128 +1309,6 @@ def _contiguous_runs(indices):
         else:
             runs.append([i, i + 1])
     return [(a, b) for a, b in runs]
-
-
-def _screen_stream_raw(
-    rt, queries, instances, backend, workers, min_batch, session,
-    wire_backend, wire_cache, wire_config,
-) -> Iterator[ScreenShard]:
-    """The pre-checkpoint streaming screen body: completion-ordered
-    shards over exactly the given instances (coordinates are positions
-    in ``instances`` — :func:`parallel_screen_stream` remaps them)."""
-    governed = wire_config.governed
-
-    def _serial_answer(q, instance):
-        if governed:
-            try:
-                return homengine.has_homomorphism(
-                    q, instance, backend=backend, session=session
-                )
-            except ResourceExhausted as exc:
-                return Answer.unknown(exc.reason)
-        return homengine.has_homomorphism(
-            q, instance, backend=backend, session=session
-        )
-
-    def _serial_row(q, chunk):
-        if governed:
-            return tuple(
-                Answer.decode(entry)
-                for entry in homengine.evaluate_batch_governed(
-                    q, chunk, backend=backend, session=session
-                )
-            )
-        return tuple(
-            homengine.evaluate_batch(
-                q, chunk, backend=backend, session=session
-            )
-        )
-
-    pool, chunks = rt.shard_chunks(
-        instances,
-        rt.workers if workers is None else workers,
-        rt.min_batch if min_batch is None else min_batch,
-    )
-    if pool is None:
-        for i, instance in enumerate(instances):
-            yield ScreenShard(
-                i,
-                i + 1,
-                tuple((_serial_answer(q, instance),) for q in queries),
-            )
-        return
-    query_wires = [to_wire(q) for q in queries]
-    starts: list[int] = []
-    offset = 0
-    for chunk in chunks:
-        starts.append(offset)
-        offset += len(chunk)
-    done_spans: set[tuple[int, int]] = set()
-    futures: dict = {}
-    failure: str | None = None
-    try:
-        for chunk, start in zip(chunks, starts):
-            future = pool.submit(
-                _worker_screen_chunk,
-                query_wires,
-                [to_wire(s) for s in chunk],
-                wire_backend,
-                rt.worker_cache,
-                wire_cache,
-                wire_config,
-            )
-            futures[future] = (start, start + len(chunk))
-        # as_completed's timeout is a whole-iteration budget, so the
-        # per-shard allowance is summed over the outstanding shards —
-        # coarser than run_chunks' per-future timeout but enough to
-        # unstick a stream whose tail is a hung worker.
-        stream_timeout = (
-            None
-            if rt.shard_timeout is None
-            else rt.shard_timeout * len(futures)
-        )
-        for future in as_completed(futures, timeout=stream_timeout):
-            start, stop = futures[future]
-            answers = future.result(timeout=rt.shard_timeout)
-            if not (
-                isinstance(answers, list)
-                and len(answers) == len(queries)
-                and all(len(row) == stop - start for row in answers)
-            ):
-                raise WorkerFailure("corrupt worker result shape")
-            done_spans.add((start, stop))
-            if governed:
-                answers = [
-                    [Answer.decode(entry) for entry in row]
-                    for row in answers
-                ]
-            yield ScreenShard(
-                start, stop, tuple(tuple(row) for row in answers)
-            )
-    except (*_POOL_FAILURES, WorkerFailure) as exc:
-        failure = type(exc).__name__
-    finally:
-        # A consumer that abandons the stream early (breaks out of the
-        # loop, closing the generator) must not leave the remaining
-        # chunks burning CPU in the session's pool: cancel everything
-        # that has not started.  No-op for completed/running futures
-        # and for the normal exhausted-stream exit.
-        for future in futures:
-            future.cancel()
-    if failure is not None:
-        rt.mark_failed(failure)
-        # Serial recovery for every span not already yielded.  Only
-        # pool/worker faults land here — an engine exception raised
-        # inside a worker propagates out of the result() call above.
-        for chunk, start in zip(chunks, starts):
-            stop = start + len(chunk)
-            if (start, stop) in done_spans:
-                continue
-            yield ScreenShard(
-                start, stop, tuple(_serial_row(q, chunk) for q in queries)
-            )
-        return
-    rt.mark_healthy()
 
 
 def parallel_ucq_answers(
@@ -1638,60 +1402,34 @@ def parallel_covers_any(
             target, pairs, backend=backend, session=session
         )
     target_wire = to_wire(target)
-    unknown_reason: str | None = None
-    try:
-        pending = {
-            pool.submit(
-                _worker_covers_chunk,
-                target_wire,
-                [
-                    (to_wire(s), _freeze_seed(seed))
-                    for s, seed in chunk
-                ],
-                wire_backend,
-                rt.worker_cache,
-                wire_cache,
-                wire_config,
-            )
-            for chunk in chunks
-        }
-        # Early exit: return on the first chunk that reports a hit and
-        # cancel chunks that have not started (this wait loop is why
-        # covers_any does not share _sharded_ordered's collection).
-        covered = False
-        while pending:
-            done, pending = wait(
-                pending,
-                timeout=rt.shard_timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                # Every outstanding shard sat past the shard timeout.
-                raise FuturesTimeout("covers_any shard timed out")
-            for f in done:
-                result = f.result()
-                if not _validate_covers(result, None):
-                    raise WorkerFailure("corrupt worker result shape")
-                if result is True:
-                    covered = True
-                elif isinstance(result, str):
-                    # A governed worker ran out of budget before any
-                    # hit; remember why, but keep draining — another
-                    # chunk may still report a definite hit.
-                    unknown_reason = result
-            if covered:
-                for f in pending:
-                    f.cancel()
-                break
-    except (*_POOL_FAILURES, WorkerFailure) as exc:
-        rt.mark_failed(type(exc).__name__)
-        return homengine.covers_any(
-            target, pairs, backend=backend, session=session
+    args_list = [
+        (
+            target_wire,
+            [(to_wire(s), _freeze_seed(seed)) for s, seed in chunk],
+            wire_backend,
+            rt.worker_cache,
+            wire_cache,
+            wire_config,
         )
-    rt.mark_healthy()
-    if not covered and unknown_reason is not None:
+        for chunk in chunks
+    ]
+    unknown_reason: str | None = None
+    # Early exit: the first hit closes the executor, which cancels the
+    # chunks that have not started.
+    with closing(
+        rt.run_chunks(pool, _worker_covers_chunk, args_list, _validate_covers)
+    ) as results:
+        for _, result in results:
+            if result is True:
+                return True
+            if isinstance(result, str):
+                # A governed worker ran out of budget before any hit;
+                # remember why, but keep draining — another chunk may
+                # still report a definite hit.
+                unknown_reason = result
+    if unknown_reason is not None:
         # No chunk found a hit and at least one gave up: the overall
         # answer is unknown, and the caller's governed surface decides
         # how to report it.
         raise ResourceExhausted.from_reason(unknown_reason)
-    return covered
+    return False

@@ -428,42 +428,32 @@ class Session:
         backend: str | None = None,
         workers: int | None = None,
         min_batch: int | None = None,
-        on_shard=None,
     ):
         """Screen a pool of Boolean CQs over one instance family.
 
-        With ``stream=False`` (default) returns the full answer matrix
-        ``result[qi][di]`` (:func:`repro.core.runtime.parallel_screen`).
-        With ``stream=True`` returns a *completion-ordered* iterator of
-        :class:`~repro.core.runtime.ScreenShard` results — each shard
+        With ``stream=True`` returns the *completion-ordered* iterator
+        of :class:`~repro.core.runtime.ScreenShard` results of
+        :func:`repro.core.runtime.parallel_screen_stream` — each shard
         covers a contiguous instance range and arrives as soon as its
         worker finishes, so a long screen surfaces answers early
-        instead of blocking until the slowest shard.
-
-        ``on_shard(shard)`` (non-streaming only) is the shard-completion
-        hook: it fires with each settled
-        :class:`~repro.core.runtime.ScreenShard` while the full matrix
-        is still being assembled — progress reporting for callers (the
-        service tier's job manager) that want the matrix *and* early
-        visibility, without consuming a stream.
+        instead of blocking until the slowest shard.  With
+        ``stream=False`` (default) returns that stream collected into
+        the answer matrix ``result[qi][di]``
+        (:func:`repro.core.runtime.parallel_screen`).  Both forms give
+        the same answers, governed ones included.
         """
-        kwargs = dict(
+        screen = (
+            _runtime.parallel_screen_stream
+            if stream
+            else _runtime.parallel_screen
+        )
+        return screen(
+            queries,
+            instances,
             backend=backend,
             workers=workers,
             min_batch=min_batch,
             session=self,
-        )
-        if stream:
-            if on_shard is not None:
-                raise ValueError(
-                    "on_shard= is for the non-streaming screen; a "
-                    "stream=True consumer already sees every shard"
-                )
-            return _runtime.parallel_screen_stream(
-                queries, instances, **kwargs
-            )
-        return _runtime.parallel_screen(
-            queries, instances, on_shard=on_shard, **kwargs
         )
 
     def screen_zoo(self, instances: list[Structure], probe_depth: int = 3):

@@ -41,6 +41,7 @@ from repro.core.boundedness import (
 )
 from repro.core.homengine import evaluate_batch_governed
 from repro.core.runtime import (
+    parallel_covers_any,
     parallel_evaluate_batch,
     parallel_screen,
     parallel_screen_stream,
@@ -251,12 +252,47 @@ def serial_screen(queries, family):
         ]
 
 
+SCREEN_QUERIES = [QUERY, path_structure(["T", "F"])]
+
+
+def stream_matrix(queries, family, session):
+    matrix = [[None] * len(family) for _ in queries]
+    for shard in parallel_screen_stream(queries, family, session=session):
+        for row, answers in zip(matrix, shard.answers):
+            row[shard.start : shard.stop] = answers
+    return matrix
+
+
+# Each sharded entry point on one fixed input: (run it under a session,
+# its serial oracle).  No instance of FAMILY maps into QUERY, so the
+# covers_any scan has no early exit and meets every injected fault.
+ENTRY_POINTS = {
+    "screen": (
+        lambda s: parallel_screen(SCREEN_QUERIES, FAMILY, session=s),
+        lambda: serial_screen(SCREEN_QUERIES, FAMILY),
+    ),
+    "screen_stream": (
+        lambda s: stream_matrix(SCREEN_QUERIES, FAMILY, s),
+        lambda: serial_screen(SCREEN_QUERIES, FAMILY),
+    ),
+    "evaluate_batch": (
+        lambda s: parallel_evaluate_batch(QUERY, FAMILY, session=s),
+        lambda: serial_screen([QUERY], FAMILY)[0],
+    ),
+    "covers_any": (
+        lambda s: parallel_covers_any(QUERY, FAMILY, session=s),
+        lambda: any(row[0] for row in serial_screen(FAMILY, [QUERY])),
+    ),
+}
+
+
 class TestFaultInjection:
-    def test_crash_mid_screen_recovers_identically(self):
-        queries = [QUERY, path_structure(["T", "F"])]
-        want = serial_screen(queries, FAMILY)
+    @pytest.mark.parametrize("entry", ["screen", "covers_any"])
+    def test_crash_mid_screen_recovers_identically(self, entry):
+        run, oracle = ENTRY_POINTS[entry]
+        want = oracle()
         with faulty_session((("crash", 0),)) as s:
-            got = parallel_screen(queries, FAMILY, session=s)
+            got = run(s)
             info = s.pool_info()
         assert got == want
         assert info.last_fallback is not None
@@ -275,23 +311,29 @@ class TestFaultInjection:
                 got[qi].extend(row)
         assert got == want
 
-    def test_hang_hits_shard_timeout_and_completes_serially(self):
-        want = serial_screen([QUERY], FAMILY)[0]
+    @pytest.mark.parametrize(
+        "entry", ["evaluate_batch", "screen_stream", "covers_any"]
+    )
+    def test_hang_hits_shard_timeout_and_completes_serially(self, entry):
+        run, oracle = ENTRY_POINTS[entry]
+        want = oracle()
         with faulty_session(
             (("hang", 0),), shard_timeout_ms=200
         ) as s:
             started = time.monotonic()
-            got = parallel_evaluate_batch(QUERY, FAMILY, session=s)
+            got = run(s)
             elapsed = time.monotonic() - started
             info = s.pool_info()
         assert got == want
         assert elapsed < 30  # nowhere near the 600s injected sleep
         assert info.last_fallback is not None
 
-    def test_corrupt_result_detected_and_recovered(self):
-        want = serial_screen([QUERY], FAMILY)[0]
+    @pytest.mark.parametrize("entry", ["evaluate_batch", "covers_any"])
+    def test_corrupt_result_detected_and_recovered(self, entry):
+        run, oracle = ENTRY_POINTS[entry]
+        want = oracle()
         with faulty_session((("corrupt", 0),)) as s:
-            got = parallel_evaluate_batch(QUERY, FAMILY, session=s)
+            got = run(s)
             info = s.pool_info()
         assert got == want
         assert info.last_fallback == "WorkerFailure"

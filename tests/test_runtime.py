@@ -8,7 +8,14 @@ serial fast path below the batch threshold, and keep the rewired
 consumers (``ucq_certain_answers``, the boundedness probe) exact.
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +34,47 @@ from repro.core.runtime import (
 )
 from repro.core.structure import BitsetIndex
 from repro.workloads import instance_family, random_instance
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# A child program that opens a live two-worker pool and prints the
+# worker pids; each test appends what the child does next.
+POOL_CHILD = textwrap.dedent(f"""
+    import multiprocessing, sys
+    sys.path.insert(0, {SRC!r})
+    from repro import EngineConfig, Session
+    from repro.core.runtime import parallel_evaluate_batch
+    from repro.core.structure import path_structure
+    from repro.workloads import instance_family
+
+    def open_pool():
+        session = Session(EngineConfig(workers=2, parallel_min=4))
+        parallel_evaluate_batch(
+            path_structure(["T", "", "F"]),
+            instance_family(8, 10, 20, seed=1),
+            session=session,
+        )
+        assert session.pool_info().running
+        print(*(p.pid for p in multiprocessing.active_children()),
+              flush=True)
+        return session
+""")
+
+
+def alive(pid):
+    """Whether ``pid`` runs (a zombie waiting for its reaper has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def gone_within(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while any(map(alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    return not any(map(alive, pids))
 
 
 @pytest.fixture
@@ -272,3 +320,76 @@ class TestPoolManagement:
         shutdown_pool()
         shutdown_pool()
         assert not pool_info().running
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process state in /proc"
+)
+class TestWorkerLifecycle:
+    @pytest.fixture
+    def pool_child(self):
+        """``start(body)`` runs ``POOL_CHILD + body`` and returns
+        ``(process, worker pids)``; whatever is left of either is
+        killed afterwards."""
+        children = []
+
+        def start(body):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", POOL_CHILD + textwrap.dedent(body)],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            pids: list[int] = []
+            children.append((proc, pids))
+            pids.extend(int(pid) for pid in proc.stdout.readline().split())
+            assert pids
+            return proc, pids
+
+        yield start
+        for proc, pids in children:
+            proc.kill()
+            proc.wait(10)
+            proc.stdin.close()
+            proc.stdout.close()
+            for pid in filter(alive, pids):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_workers_exit_when_parent_is_killed(self, pool_child):
+        """A SIGKILLed parent runs no atexit sweep: its pool workers
+        must notice the lost parent on their own and exit."""
+        proc, pids = pool_child("""
+            import time
+            open_pool()
+            time.sleep(600)
+        """)
+        proc.kill()
+        proc.wait(10)
+        assert gone_within(pids, 5)
+
+    def test_worker_sigterm_ends_only_that_worker(self, pool_child):
+        """Workers forked under an asyncio SIGTERM handler, as in
+        ``repro serve``: the SIGTERM that ``mark_failed`` sends a
+        worker must end that worker and never reach the parent."""
+        proc, pids = pool_child("""
+            import asyncio, signal
+
+            async def main():
+                loop = asyncio.get_running_loop()
+                signalled = asyncio.Event()
+                loop.add_signal_handler(signal.SIGTERM, signalled.set)
+                open_pool()
+                await loop.run_in_executor(None, sys.stdin.readline)
+                try:
+                    await asyncio.wait_for(signalled.wait(), 1.0)
+                    print("parent signalled", flush=True)
+                except asyncio.TimeoutError:
+                    print("parent quiet", flush=True)
+
+            asyncio.run(main())
+        """)
+        os.kill(pids[0], signal.SIGTERM)
+        assert gone_within(pids[:1], 5)
+        proc.stdin.write("\n")
+        proc.stdin.flush()
+        assert proc.stdout.readline().strip() == "parent quiet"

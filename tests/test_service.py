@@ -303,36 +303,6 @@ class TestJobManager:
 
 
 # ----------------------------------------------------------------------
-# Session.screen shard hook (the runtime plumbing the service rides)
-# ----------------------------------------------------------------------
-
-
-class TestScreenShardHook:
-    def test_on_shard_fires_and_covers(self):
-        from repro.session import Session
-
-        spans = []
-        with Session(base_config()) as s:
-            want = s.screen([QUERY], FAMILY)
-            got = s.screen(
-                [QUERY],
-                FAMILY,
-                on_shard=lambda sh: spans.append((sh.start, sh.stop)),
-            )
-        assert got == want
-        spans.sort()
-        assert spans[0][0] == 0 and spans[-1][1] == len(FAMILY)
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-
-    def test_on_shard_incompatible_with_stream(self):
-        from repro.session import Session
-
-        with Session(base_config()) as s:
-            with pytest.raises(ValueError):
-                s.screen([QUERY], FAMILY, stream=True, on_shard=print)
-
-
-# ----------------------------------------------------------------------
 # HTTP front
 # ----------------------------------------------------------------------
 

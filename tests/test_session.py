@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import EngineConfig, Session, zoo
+from repro import Answer, EngineConfig, Session, zoo
 from repro.core import homengine
 from repro.core.cactus import cactus_factory
 from repro.core.config import (
@@ -334,16 +334,27 @@ class TestStreamingScreen:
         assert all(a is not None for row in matrix for a in row)  # coverage
         return matrix
 
-    def test_stream_matches_blocking_screen_serial(self):
+    @pytest.mark.parametrize(
+        "hom_fuel", [None, 50], ids=["ungoverned", "governed"]
+    )
+    def test_stream_matches_blocking_screen_serial(self, hom_fuel):
         q5 = OneCQ.from_structure(zoo.q5())
         family = instance_family(count=10, n=12, edge_count=24, seed=7)
         with Session(EngineConfig(workers=1)) as s:
             queries = s.ucq_rewriting(q5, 1)
+        # A fresh session per form: a shared one would let the second
+        # form answer from the first form's hom-cache.
+        config = EngineConfig(workers=1, hom_fuel=hom_fuel)
+        with Session(config) as s:
             blocking = s.screen(queries, family)
+        with Session(config) as s:
             shards = list(s.screen(queries, family, stream=True))
-            assert self._reassemble(
-                shards, len(queries), len(family)
-            ) == blocking
+        assert self._reassemble(
+            shards, len(queries), len(family)
+        ) == blocking
+        if hom_fuel is not None:
+            # The budget really tripped partway through the screen.
+            assert any(isinstance(a, Answer) for row in blocking for a in row)
 
     def test_stream_matches_blocking_screen_parallel(self):
         q5 = OneCQ.from_structure(zoo.q5())
@@ -448,10 +459,10 @@ class TestWorkerWireCache:
         # In-process worker call honours the shipped config end to end.
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
-        answers = runtime._worker_evaluate_chunk(
-            to_wire(q), [to_wire(d)], None, 0, None, shipped
+        answers = runtime._worker_screen_chunk(
+            [to_wire(q)], [to_wire(d)], None, 0, None, shipped
         )
-        assert answers == [True]
+        assert answers == [[True]]
         assert runtime._WORKER_SESSION[0] == shipped
         runtime._WORKER_SESSION = None
 
