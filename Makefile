@@ -61,8 +61,8 @@ lint-deprecated-gate:
 ## fixed seed makes CI failures replayable locally with the same
 ## arguments; --seconds caps the job even on throttled runners.  The
 ## second leg reruns with the durable store enabled, cross-checking
-## disk-replayed answers against the in-memory path and ending with a
-## full checksum sweep.
+## answers replayed from its checkpoint and plan rows against the naive
+## oracle and ending with a full checksum sweep.
 fuzz:
 	$(PYTHON) scripts/fuzz_differential.py --seed 0 --cases 2000 --seconds 25
 	rm -rf /tmp/repro-fuzz-store

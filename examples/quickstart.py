@@ -110,10 +110,10 @@ def main() -> None:
     #    the REPRO_* environment on first use — which is why the free
     #    functions keep working exactly as before.  For anything beyond
     #    one-off calls, build an explicit Session: it owns a frozen
-    #    EngineConfig plus all mutable engine state (hom backend +
-    #    hom-cache, cactus factory pool + structure intern, process
-    #    pool), so two differently-configured evaluations can live side
-    #    by side in one process without sharing anything.
+    #    EngineConfig plus all mutable engine state (hom backend,
+    #    cactus factory pool + structure intern, process pool), so two
+    #    differently-configured evaluations can live side by side in
+    #    one process without sharing anything.
     #
     #    Migration from the free functions is mechanical:
     #        certain_answer(q, d)        -> session.certain_answer(q, d)
@@ -127,7 +127,6 @@ def main() -> None:
     #        ucq_certain_answers(u, f)   -> session.ucq_certain_answers(u, f)
     #        parallel_screen(qs, f)      -> session.screen(qs, f)
     #        set_default_backend(b)      -> EngineConfig(backend=b)
-    #        configure_cache(...)        -> EngineConfig(hom_cache...=...)
     #        configure_pool(w, m)        -> EngineConfig(workers=w,
     #                                                    parallel_min=m)
     #    Precedence everywhere is env < config < per-call kwarg, and
@@ -137,7 +136,7 @@ def main() -> None:
     #    targets, bitset otherwise (calibrated from BENCH_batch.json).
     # ------------------------------------------------------------------
     print()
-    oracle = Session(EngineConfig(backend="naive", hom_cache=False))
+    oracle = Session(EngineConfig(backend="naive"))
     with Session(EngineConfig(backend="auto", workers=2,
                               parallel_min=16)) as fast:
         q5 = OneCQ.from_structure(zoo.q5())
@@ -187,9 +186,8 @@ def main() -> None:
     #    session.count_homomorphisms with backend="decomp" counts by
     #    bag products (no enumeration); chain-shaped probes (span-1
     #    queries, one cactus per depth) warm-start their coverage DP
-    #    across depths, exchanging answers with the session hom-cache
-    #    (REPRO_PROBE_WARMSTART=0 restores the batch path; bushy
-    #    span>=2 probes keep it automatically).
+    #    across depths (REPRO_PROBE_WARMSTART=0 restores the batch
+    #    path; bushy span>=2 probes keep it automatically).
     # ------------------------------------------------------------------
     from repro.core import decomp, path_structure, query_width
 
@@ -324,12 +322,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 11. Durable engine state: the crash-safe store + checkpoint/resume.
     #
-    #    EngineConfig(cache_dir=...) (or REPRO_CACHE_DIR) layers a disk
-    #    tier under the session caches: hom answers, semiring values and
-    #    compiled decomp plans spill to a checksummed sqlite store
+    #    EngineConfig(cache_dir=...) (or REPRO_CACHE_DIR) adds a disk
+    #    tier: compiled decomp plans spill to a checksummed sqlite store
     #    (repro.core.store.DurableStore), shared by pool workers and by
     #    every later process pointed at the same directory.  Long
-    #    screens and boundedness probes also checkpoint their settled
+    #    screens and boundedness probes checkpoint their settled
     #    results row by row, so a killed process resumes where it died
     #    — identical answers, skipping finished work — instead of
     #    starting over.
@@ -361,9 +358,7 @@ def main() -> None:
             warm_screen = warm.screen([zoo.q3(), zoo.q5()], family[:12])
             agree = (warm_probe.verdict == cold_probe.verdict
                      and warm_screen == cold_screen)
-            print(f"warm restart agrees with cold run: {agree} "
-                  f"(hom cache misses after restart: "
-                  f"{warm.hom.cache_info().misses})")
+            print(f"warm restart agrees with cold run: {agree}")
 
     # ------------------------------------------------------------------
     # 12. The service tier: async jobs over HTTP with streaming results.

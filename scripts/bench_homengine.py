@@ -3,8 +3,7 @@
 
 Runs the homomorphism-dominated benchmark files (E15 hom ablation, E2
 evaluation, E3 cactus, E4 focused) once per engine backend — ``naive``
-and ``bitset`` — with the hom-cache disabled so raw engine speed is
-measured, and writes the merged results plus speedups to
+and ``bitset`` — and writes the merged results plus speedups to
 ``BENCH_homengine.json`` at the repo root.  This file is the seed of
 the engine's perf trajectory: future PRs should keep the recorded
 speedups from regressing.
@@ -45,13 +44,9 @@ def run_backend(backend: str, json_path: Path, extra_args: list[str]) -> None:
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    # The child process ingests this through EngineConfig.from_env()
+    # when its default session is first used.
     env["REPRO_HOM_BACKEND"] = backend
-    # Measure the engine, not the cache: repeated benchmark rounds would
-    # otherwise be answered from the LRU and flatten every comparison.
-    # The child process ingests these through EngineConfig.from_env()
-    # when its default session is first used — the single env-var entry
-    # point since the Session refactor.
-    env["REPRO_HOM_CACHE"] = "0"
     cmd = [
         sys.executable,
         "-m",
@@ -158,8 +153,7 @@ def main() -> int:
     report = {
         "description": (
             "Hom-engine backend comparison (naive vs bitset) on the "
-            "E15/E2/E3/E4 benches; hom-cache disabled; times are "
-            "pytest-benchmark means"
+            "E15/E2/E3/E4 benches; times are pytest-benchmark means"
         ),
         "backends": list(BACKENDS),
         "summary": summary,

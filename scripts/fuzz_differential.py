@@ -22,12 +22,15 @@ and cross-checks every answer four ways:
   ``has_homomorphism``, MINPLUS is finite iff a homomorphism exists,
   and weighted PROB agrees across the enumeration, decomp-DP and
   matrix-matvec routes.
-* **Durable-store agreement** (``--cache-dir``) — a disk-backed
-  session answers every case alongside the oracle, and is closed and
-  reopened every ~40 cases with the recent cases replayed against the
-  fresh session, so the replays are answered from *disk* (two-tier
-  promotion) and must still match the in-memory path.  The run ends
-  with a full checksum sweep of the store (``verify`` must drop 0).
+* **Durable-store agreement** (``--cache-dir``) — every 40 cases a
+  disk-backed session screens the recent (query, target) pairs, is
+  closed and reopened, and screens them again: the second screens must
+  be answered from the ``ckpt:`` rows the first ones wrote (no new
+  rows).  Then a ``decomp`` check of each pair, on fresh copies with
+  the process-wide plan intern emptied, must read the query plans from
+  the store's ``plan`` rows.  Every answer must match the oracle, and
+  the run ends with a full checksum sweep of the store (``verify``
+  must drop 0).
 
 The query rotation includes hostile treewidth-3 k-tree CQs and the
 target rotation includes dense multigraph instances (parallel edges
@@ -62,7 +65,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import EngineConfig, ResourceExhausted, Session  # noqa: E402
+from repro.core.decomp import clear_plan_intern  # noqa: E402
 from repro.core.runtime import (  # noqa: E402
+    from_wire,
     parallel_evaluate_batch,
     parallel_screen,
     to_wire,
@@ -117,6 +122,73 @@ def report(case_seed: int, what: str, query, target, detail: str) -> None:
     print(f"  target wire: {to_wire(target)!r}")
 
 
+def _ckpt_rows(store) -> int:
+    return sum(n for ns, n in store.stats().namespaces if ns.startswith("ckpt:"))
+
+
+def durable_round(durable, reopen, replay, screened: set):
+    """Screen every replayed pair, reopen the store, screen them again
+    from its ``ckpt:`` rows, then check each pair under ``decomp`` with
+    the query plans read back from its ``plan`` rows.  ``screened``
+    holds the fingerprint pairs of every earlier round.  Returns the
+    reopened session and ``None``, or the first failure as ``(what,
+    query, target, detail)``."""
+
+    def screens(what):
+        for rq, rt, want in replay:
+            got = durable.screen([rq], [rt])[0][0]
+            if got != want:
+                return what, rq, rt, f"screen={got!r} oracle={want!r}"
+        return None
+
+    rq, rt, _ = replay[0]
+    rows = _ckpt_rows(durable.store)
+    failure = screens("durable-store screen")
+    if failure is not None:
+        return durable, failure
+    # A one-pair screen checkpoints one row, in a namespace of its own.
+    new = {(q.fingerprint, t.fingerprint) for q, t, _ in replay} - screened
+    screened |= new
+    if _ckpt_rows(durable.store) - rows != len(new):
+        return durable, (
+            "durable-store screen", rq, rt,
+            f"{_ckpt_rows(durable.store) - rows} checkpoint rows written "
+            f"for {len(new)} new pairs",
+        )
+    durable.close()
+    durable = reopen()
+    writes = durable.store.stats().writes
+    failure = screens("durable-store checkpoint replay")
+    if failure is not None:
+        return durable, failure
+    if durable.store.stats().writes != writes:
+        return durable, (
+            "durable-store checkpoint replay", rq, rt,
+            "the replayed screens wrote rows: they were recomputed",
+        )
+    # Fresh copies carry no compiled plan, and the intern is empty, so
+    # decomp_plan must read each query's plan from the store.
+    clear_plan_intern()
+    hits = durable.store.stats().hits
+    for rq, rt, want in replay:
+        got = durable.has_homomorphism(
+            from_wire(to_wire(rq)), from_wire(to_wire(rt)), backend="decomp"
+        )
+        if got != want:
+            return durable, (
+                "durable-store decomp with stored plans", rq, rt,
+                f"decomp={got!r} oracle={want!r}",
+            )
+    read = durable.store.stats().hits - hits
+    distinct = len({q.fingerprint for q, _, _ in replay})
+    if read < distinct:
+        return durable, (
+            "durable-store decomp with stored plans", rq, rt,
+            f"{read} plan rows read for {distinct} distinct queries",
+        )
+    return durable, None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -125,9 +197,9 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="enable the durable-store leg: a disk-backed session "
-        "cross-checked against the oracle, reopened every ~40 cases "
-        "so replayed answers come from disk",
+        help="enable the durable-store leg: every 40 cases a disk-backed "
+        "session screens the recent pairs, is reopened, and answers them "
+        "again from its checkpoint and plan rows",
     )
     args = ap.parse_args()
 
@@ -149,8 +221,8 @@ def main() -> int:
         )
 
     durable = fresh_durable() if args.cache_dir else None
-    durable_cases = 0
     replay: list = []  # (query, target, oracle answer) since last reopen
+    screened: set = set()  # fingerprint pairs the durable leg screened
 
     checks = 0
     cases = 0
@@ -247,31 +319,16 @@ def main() -> int:
                 return 1
 
         if durable is not None:
-            d = durable.has_homomorphism(query, target)
-            checks += 1
-            if d != answers["naive"]:
-                report(
-                    case_seed, "durable-store has_homomorphism", query,
-                    target, f"durable={d!r} oracle={answers['naive']!r}",
-                )
-                return 1
             replay.append((query, target, answers["naive"]))
-            durable_cases += 1
-            if durable_cases % 40 == 0:
-                # Reopen so the replays below are answered from disk
-                # (store hit promoted into the fresh memory tier), not
-                # from the warm LRU they were computed into.
-                durable.close()
-                durable = fresh_durable()
-                for rq, rt, want in replay:
-                    got = durable.has_homomorphism(rq, rt)
-                    checks += 1
-                    if got != want:
-                        report(
-                            case_seed, "durable-store disk replay", rq, rt,
-                            f"disk={got!r} oracle={want!r}",
-                        )
-                        return 1
+            if len(replay) == 40:
+                durable, failure = durable_round(
+                    durable, fresh_durable, replay, screened
+                )
+                checks += 3 * len(replay)
+                if failure is not None:
+                    what, rq, rt, detail = failure
+                    report(case_seed, what, rq, rt, detail)
+                    return 1
                 replay.clear()
 
         # A bare governed engine call raises on exhaustion; any answer

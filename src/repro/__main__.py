@@ -45,11 +45,10 @@ Commands
 
 Global flags (before the command) configure the session every command
 runs in: ``--backend`` picks the hom backend (``naive`` / ``bitset`` /
-``matrix`` / ``auto``), ``--workers`` sizes the shard executor,
-``--no-cache`` disables the hom-cache and ``--cache-dir`` points the
-durable store at a directory.  The CLI is a thin veneer over the
-public :class:`~repro.session.Session` API; anything serious should
-import :mod:`repro` directly.
+``matrix`` / ``auto``), ``--workers`` sizes the shard executor and
+``--cache-dir`` points the durable store at a directory.  The CLI is a
+thin veneer over the public :class:`~repro.session.Session` API;
+anything serious should import :mod:`repro` directly.
 """
 
 from __future__ import annotations
@@ -134,8 +133,6 @@ def _config_from_args(args: argparse.Namespace) -> EngineConfig:
         overrides["backend"] = args.backend
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.no_cache:
-        overrides["hom_cache"] = False
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir or None
     for flag, field in (
@@ -406,10 +403,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=None,
         help="shard-executor worker count (overrides REPRO_HOM_WORKERS; "
         "<= 1 disables parallelism)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the homomorphism cache for this run",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",

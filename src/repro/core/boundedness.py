@@ -35,7 +35,7 @@ The batch traffic of this module routes through the shard executor of
 :mod:`repro.core.runtime`: large batches (a deep probe's cactus layers,
 a big :func:`ucq_certain_answers` instance family) are chunked across
 the bounded process pool (``REPRO_HOM_WORKERS``), while small batches
-keep the serial fast path with its shared hom-cache.
+keep the serial fast path.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def _probe_coverage(session, one_cq: OneCQ) -> ProbeCoverage | None:
     the previous (the E3-style increasing-depth regime measured in
     ``BENCH_decomp.json``): there the per-depth delta is the whole
     workload and warm-starting beats re-solving 2x+.  Span >= 2 probes
-    have exponentially bushy layers of *small* cactuses where the
-    hom-cached (and, for large layers, pool-sharded) batch path wins on
-    constants, so they keep it.  Cactuses also inherit the query's
+    have exponentially bushy layers of *small* cactuses where the batch
+    path (pool-sharded for large layers) wins on constants, so they
+    keep it.  Cactuses also inherit the query's
     decomposition width (copies glue at single nodes), so a width > 2
     query — whose pairs would all take the engine fallback one at a
     time — steps aside as well.  ``EngineConfig.probe_warmstart`` /
@@ -149,8 +149,7 @@ def _covered_by(
     Without one (``probe_warmstart=False``), it is a single batch
     :func:`~repro.core.runtime.parallel_covers_any` call: small shallow
     sets take the serial path — the target's indexes are shared across
-    the whole batch and every (shallow, deep) pair goes through the
-    hom-cache — while the exponentially large layers of a deep
+    the whole batch — while the exponentially large layers of a deep
     span->=2 probe shard across the process pool.
     """
     if coverage is not None:
@@ -443,7 +442,7 @@ def ucq_certain_answers(
     single-disjunct rewritings, where there is nothing to amortise —
     keep the serial path: each disjunct sweeps the still-undecided
     instances in one :func:`~repro.core.homengine.evaluate_batch`
-    (sharing its compiled source plan and the hom-cache), and
+    (sharing its compiled source plan), and
     instances already answered 'yes' drop out of later sweeps.
 
     Governed sessions get tri-state entries: 'yes' answers found before

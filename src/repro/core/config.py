@@ -1,7 +1,7 @@
 """Engine configuration: one frozen dataclass, one env-var ingestion point.
 
-Everything tunable about the engine — hom backend, hom-cache, cactus
-factory pool, structure intern table, shard executor — is described by
+Everything tunable about the engine — hom backend, cactus factory
+pool, structure intern table, shard executor — is described by
 an immutable :class:`EngineConfig`.  A :class:`~repro.session.Session`
 owns exactly one config plus the mutable state it parameterises; the
 module-level default session is built from :meth:`EngineConfig.from_env`
@@ -17,7 +17,7 @@ Precedence is ``env < config < per-call kwarg``:
 * explicit keyword arguments to :meth:`from_env` (or a plain
   ``EngineConfig(...)`` constructor call) override the environment;
 * per-call keywords on the session/engine entry points (``backend=``,
-  ``workers=``, ``use_cache=`` ...) override the config for that call.
+  ``workers=`` ...) override the config for that call.
 
 Environment variables
 =====================
@@ -28,8 +28,6 @@ Environment variables
     ``auto`` (route per call: ``decomp`` for tree-shaped queries on
     non-trivial targets, else ``matrix`` vs ``bitset`` from the
     target's size and edge density).
-``REPRO_HOM_CACHE`` / ``REPRO_HOM_CACHE_SIZE``
-    Enable (default) / size (8192) of the fingerprint-keyed hom-cache.
 ``REPRO_PROBE_WARMSTART``
     Enable (default) the boundedness probe's delta warm-started
     coverage checks; ``0`` restores the sharded batch path.
@@ -65,11 +63,10 @@ Environment variables
     next large batch probes it again (default 5000); replaces the old
     permanently-broken behaviour.
 ``REPRO_CACHE_DIR``
-    Directory for the durable store (:mod:`repro.core.store`): hom
-    answers, semiring evaluations, decomp plans and screen/probe
-    checkpoints persist there across restarts and are shared by pool
-    workers.  Unset or empty (the default): no disk tier, memory LRUs
-    only.
+    Directory for the durable store (:mod:`repro.core.store`): decomp
+    plans and screen/probe checkpoints persist there across restarts
+    and are shared by pool workers.  Unset or empty (the default): no
+    disk tier.
 ``REPRO_CACHE_BYTES``
     Byte cap on the durable store file (default 256 MiB); past it the
     oldest entries are evicted FIFO.  ``0`` means uncapped.
@@ -81,7 +78,7 @@ Environment variables
 ``REPRO_DURABLE_CHECKPOINTS``
     Enable (default) checkpoint/resume for ``Session.screen`` and the
     boundedness probe when a durable store is attached; ``0`` keeps
-    the store as a pure cache tier with no checkpoint rows.
+    the store but writes no checkpoint rows.
 ``REPRO_SERVICE_HOST`` / ``REPRO_SERVICE_PORT``
     Bind address of the job service (:mod:`repro.service`); default
     ``127.0.0.1:8765``.  Port ``0`` binds an ephemeral port (printed
@@ -262,8 +259,6 @@ class EngineConfig:
 
     # hom engine
     backend: str = "bitset"
-    hom_cache: bool = True
-    hom_cache_size: int = 8192
     # Delta warm-start of the boundedness probe's coverage checks
     # (repro.core.decomp.ProbeCoverage).  Disabling it restores the
     # sharded parallel_covers_any path for every coverage batch.
@@ -291,8 +286,7 @@ class EngineConfig:
     pool_cooldown_ms: int = 5000
     # durable state tier (repro.core.store).  cache_dir=None (the
     # default) disables the disk tier entirely; durable_checkpoints
-    # additionally gates the screen/probe checkpoint rows, keeping the
-    # store a pure cache when off.
+    # additionally gates the screen/probe checkpoint rows.
     cache_dir: str | None = None
     cache_bytes: int = 256 * 1024 * 1024
     durability: str = "best-effort"
@@ -331,7 +325,6 @@ class EngineConfig:
                 f"got {self.backend!r}"
             )
         for name in (
-            "hom_cache_size",
             "parallel_min",
             "worker_cache_size",
             "factory_pool_size",
@@ -408,10 +401,6 @@ class EngineConfig:
             )
         values = dict(
             backend=backend,
-            hom_cache=_env_bool(env, "REPRO_HOM_CACHE", defaults.hom_cache),
-            hom_cache_size=_env_int(
-                env, "REPRO_HOM_CACHE_SIZE", defaults.hom_cache_size
-            ),
             probe_warmstart=_env_bool(
                 env, "REPRO_PROBE_WARMSTART", defaults.probe_warmstart
             ),

@@ -975,42 +975,39 @@ def count_decomp(
     node_domains,
     forbid,
     budget=None,
-) -> tuple[int, dict[Node, Node] | None]:
-    """``(count, first_witness)`` via bag-product counting — the DP
-    multiplies per-bag extension counts instead of enumerating the hom
-    set, so counting costs one bottom-up pass even when the count is
+) -> int:
+    """The hom count via bag-product counting — the DP multiplies
+    per-bag extension counts instead of enumerating the hom set, so
+    counting costs one bottom-up pass even when the count is
     astronomically large."""
     plan = decomp_plan(source)
     if plan.n == 0:
-        return 1, {}
+        return 1
     if plan.forest_order is not None:
         prepared = _mask_domains(
             plan, target, seed, restrict_image, node_filter,
             node_domains, forbid,
         )
         if prepared is None:
-            return 0, None
+            return 0
         domains, idx = prepared
         if not _forest_filter(plan, idx, domains, budget):
-            return 0, None
-        count = _count_forest(plan, idx, domains)
-        witness = next(_iter_forest(plan, idx, domains), None)
-        return count, witness
+            return 0
+        return _count_forest(plan, idx, domains)
     doms = _relational_domains(
         plan, target, seed, restrict_image, node_filter,
         node_domains, forbid,
     )
     if doms is None:
-        return 0, None
+        return 0
     solved = _solve_relational(plan, target, doms, counting=True, budget=budget)
     if solved is None:
-        return 0, None
-    index, weights = solved
+        return 0
+    _index, weights = solved
     count = 1
     for b in plan.bag_roots:
         count *= sum(weights[b].values())
-    witness = next(_iter_relational(plan, index), None)
-    return count, witness
+    return count
 
 
 # ----------------------------------------------------------------------
@@ -1419,20 +1416,6 @@ class MaskCoverageState:
         domains = list(self.init_doms)
         self.covered = _forest_filter(plan, idx, domains) and all(domains)
 
-    def witness(self, plan: DecompPlan, target: Structure):
-        """A covering homomorphism (for the hom-cache), or ``None``.
-
-        Re-runs the (cheap) one-pass filter and extracts the first
-        assignment top-down; only called on positive answers, which
-        short-circuit the probe's source scan."""
-        if not self.covered:
-            return None
-        idx = target.bitset_index
-        domains = list(self.init_doms)
-        if not _forest_filter(plan, idx, domains):
-            return None
-        return next(_iter_forest(plan, idx, domains), None)
-
     def extended(
         self,
         plan: DecompPlan,
@@ -1553,16 +1536,8 @@ class ProbeCoverage:
     its LRU is sized to survive whole span>=2 layers, so parents are
     still retained when their (many) children arrive; width-2 sources
     use the heavier relational tier (:class:`CoverageState`) with a
-    small LRU; anything wider falls back to the session's regular
-    (cached) hom engine.
-
-    Answers are exchanged with the calling session's hom-cache under
-    the ``decomp`` backend key (the coverage predicate *is*
-    ``has_homomorphism``): a repeated probe — same session, same query,
-    deeper run — is answered from the cache without re-solving, exactly
-    like the batch path it replaces.  Negative answers always cache;
-    positive ones cache when the tier can extract a witness (the
-    find-cache stores witnesses, never bare booleans).
+    small LRU; anything wider falls back to the session's regular hom
+    engine.  Answers are memoised for the probe's lifetime only.
     """
 
     MAX_MASK_STATES_PER_SOURCE = 128
@@ -1596,21 +1571,6 @@ class ProbeCoverage:
             self._check(source, target, require_focus) for source in shallow
         )
 
-    def _engine_and_key(self, source, target, seed):
-        """The session's hom engine plus the find-cache key this pair
-        shares with ``has_homomorphism(..., backend="decomp")`` (None
-        when the session disabled its cache)."""
-        from . import homengine
-
-        engine = homengine._engine(self._session)
-        if not engine.cache_enabled:
-            return engine, None
-        key = homengine._cache_key(
-            "decomp", source.structure, target.structure, seed,
-            None, None, None,
-        )
-        return engine, key
-
     def _check(self, source, target, require_focus: bool) -> bool:
         skey = (source.structure.fingerprint, require_focus)
         tfp = target.structure.fingerprint
@@ -1632,15 +1592,6 @@ class ProbeCoverage:
             )
             self._answers[(skey, tfp)] = answer
             return answer
-        from .homengine import _MISS
-
-        engine, cache_key = self._engine_and_key(source, target, seed)
-        if cache_key is not None:
-            hit = engine._cache_get(cache_key)
-            if hit is not _MISS:
-                answer = hit is not None
-                self._answers[(skey, tfp)] = answer
-                return answer
         mask_tier = plan.forest_order is not None
         tier = MaskCoverageState if mask_tier else CoverageState
         chain = self._chains.setdefault(skey, OrderedDict())
@@ -1686,11 +1637,4 @@ class ProbeCoverage:
             chain.popitem(last=False)
         answer = state.covered
         self._answers[(skey, tfp)] = answer
-        if cache_key is not None:
-            if not answer:
-                engine._cache_put(cache_key, None)
-            elif mask_tier:
-                witness = state.witness(plan, target.structure)
-                if witness is not None:
-                    engine._cache_put(cache_key, tuple(witness.items()))
         return answer

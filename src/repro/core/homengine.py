@@ -1,4 +1,4 @@
-"""Pluggable homomorphism engine: backends, hom-cache, and batch APIs.
+"""Pluggable homomorphism engine: backends and batch APIs.
 
 Architecture
 ============
@@ -47,36 +47,25 @@ into swappable *backends* behind one call surface:
     counting instead of enumeration.
 
 All backends enumerate exactly the same set of homomorphisms.  The
-default backend, the hom-cache and all other mutable engine state live
-on a :class:`HomEngine` owned by a :class:`~repro.session.Session`;
-every entry point takes an explicit ``session=`` (falling back to the
-module-level default session, which is configured from the ``REPRO_*``
-environment via :meth:`repro.core.config.EngineConfig.from_env`) plus a
-per-call ``backend=`` override.  ``backend="auto"`` — per call or as
+default backend lives on a :class:`HomEngine` owned by a
+:class:`~repro.session.Session`; every entry point takes an explicit
+``session=`` (falling back to the module-level default session, which
+is configured from the ``REPRO_*`` environment via
+:meth:`repro.core.config.EngineConfig.from_env`) plus a per-call
+``backend=`` override.  ``backend="auto"`` — per call or as
 the session default — resolves per call from the *query's* cached
 decomposition width (tree-shaped queries route to ``decomp``) and the
 target's size and edge density (``matrix`` vs ``bitset``);
 see :func:`repro.core.config.choose_auto_backend`, calibrated from the
 committed ``BENCH_batch.json`` and ``BENCH_decomp.json`` duels.
 
-Cache
-=====
-
-:func:`find_homomorphism` / :func:`has_homomorphism` answers are
-LRU-cached keyed on the *content fingerprints* of source and target
-(:attr:`~repro.core.structure.Structure.fingerprint`) plus the frozen
-seed/restriction/forbid/domain arguments, so repeated checks across
-equal structures — ubiquitous in the Proposition 2 probe's depth loop
-and the Appendix F cuttability fixpoint — are answered once.
-:func:`count_homomorphisms` answers (enumeration sizes) share the same
-LRU under a distinct key tag, and a counting pass also seeds the
-find/has entry for the same arguments with its first witness.  Calls
-with a ``node_filter`` callable are never cached (the callable is
-opaque); prefer the declarative ``node_domains`` / ``forbid``
-arguments, which are cacheable and usually faster.  The cache is
-per-session: disable or resize it via ``EngineConfig`` /
-:func:`configure_cache` (or ``REPRO_HOM_CACHE=0`` for the default
-session).
+Answers are not memoised across calls: the consumers (the Proposition
+2 probe, the Appendix F cuttability fixpoint, screens) almost never
+repeat a source/target pair, so every call searches.  What repeats is
+memoised where it is built: a structure's indexes and decomposition
+width on the structure, a query's :class:`~repro.core.decomp.DecompPlan`
+per fingerprint, and whole probe and screen answers as checkpoint rows
+in the durable store.
 
 Batch APIs
 ==========
@@ -84,33 +73,25 @@ Batch APIs
 :func:`covers_any` (does any of a batch of sources map into one
 target?) and :func:`evaluate_batch` (one query over many instances)
 expose the batch traffic shape of the consumers, sharing the target's
-lazily-built indexes and the cache across the whole batch.
+lazily-built indexes across the whole batch.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict, deque
-from dataclasses import dataclass
+from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import decomp as _decomp
 from .config import BACKEND_CHOICES, EngineConfig, choose_auto_backend
 from .config import BACKENDS as BACKENDS  # re-export: stable engine API
 from .errors import Budget, ResourceExhausted, call_budget
-from .semiring import (
-    Evaluation,
-    Semiring,
-    freeze_weights,
-    hom_weight,
-    resolve_semiring,
-)
+from .semiring import Evaluation, Semiring, hom_weight, resolve_semiring
 from .structure import (
     BinaryFact,
     Node,
     Structure,
     UnaryFact,
-    _canonical_key,
     numpy_or_none,
 )
 
@@ -133,48 +114,19 @@ _AUTO_WIDTH_SOURCE_LIMIT = 512
 
 
 # ----------------------------------------------------------------------
-# Per-session engine state: default backend + the LRU hom-cache
+# Per-session engine state: the default backend
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class CacheInfo:
-    hits: int
-    misses: int
-    size: int
-    maxsize: int
-    enabled: bool
-
-
-_MISS = object()
-
-
 class HomEngine:
-    """The mutable hom-search state of one session.
-
-    Owns the session's default backend choice and its LRU hom-cache.
-    Two sessions never share an instance, so differently-configured
-    engines can answer queries side by side in one process without
-    contaminating each other's caches or defaults.
+    """The mutable hom-search state of one session: its default
+    backend choice.  Two sessions never share an instance, so
+    differently-configured engines can answer queries side by side in
+    one process.
     """
 
     def __init__(self, config: EngineConfig) -> None:
         self.default_backend = config.backend
-        self.cache_enabled = config.hom_cache
-        self.cache_maxsize = config.hom_cache_size
-        self._cache: OrderedDict[tuple, tuple | None] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        # Optional disk tier under the LRU (repro.core.store): misses
-        # fall through to it and promote on hit, puts write through.
-        self._store = None
-
-    def attach_store(self, store) -> None:
-        """Layer a :class:`~repro.core.store.DurableStore` under the
-        in-memory LRU (memory -> disk lookup, write-through puts).
-        Cache keys are content-fingerprint tuples, so entries are valid
-        across processes and restarts."""
-        self._store = store
 
     # -- backend resolution --------------------------------------------
 
@@ -222,66 +174,6 @@ class HomEngine:
         self.default_backend = backend
         return previous
 
-    # -- cache ----------------------------------------------------------
-
-    def configure_cache(
-        self, enabled: bool | None = None, maxsize: int | None = None
-    ) -> None:
-        """Enable/disable the hom-cache or change its capacity."""
-        if enabled is not None:
-            self.cache_enabled = enabled
-        if maxsize is not None:
-            self.cache_maxsize = maxsize
-            while len(self._cache) > self.cache_maxsize:
-                self._cache.popitem(last=False)
-
-    def clear_cache(self) -> None:
-        """Drop all *in-memory* cached answers and reset the counters.
-        A durable store attached under the LRU is deliberately left
-        alone — disk state outlives the session (use
-        ``DurableStore.clear`` / ``repro cache clear`` for that)."""
-        self._cache.clear()
-        self._hits = 0
-        self._misses = 0
-
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss counters and occupancy of the hom-cache."""
-        return CacheInfo(
-            self._hits,
-            self._misses,
-            len(self._cache),
-            self.cache_maxsize,
-            self.cache_enabled,
-        )
-
-    def _cache_get(self, key: tuple):
-        try:
-            value = self._cache[key]
-        except KeyError:
-            if self._store is not None:
-                from .store import MISS as _STORE_MISS
-
-                value = self._store.get("hom", key)
-                if value is not _STORE_MISS:
-                    # Disk hit: promote into the LRU without writing
-                    # the entry straight back to disk.
-                    self._cache_put(key, value, write_through=False)
-                    self._hits += 1
-                    return value
-            self._misses += 1
-            return _MISS
-        self._cache.move_to_end(key)
-        self._hits += 1
-        return value
-
-    def _cache_put(self, key: tuple, value, write_through: bool = True):
-        self._cache[key] = value
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_maxsize:
-            self._cache.popitem(last=False)
-        if write_through and self._store is not None:
-            self._store.put("hom", key, value)
-
 
 def _engine(session) -> HomEngine:
     """The :class:`HomEngine` of ``session`` (default session if None)."""
@@ -306,70 +198,6 @@ def get_default_backend() -> str:
 def set_default_backend(backend: str) -> str:
     """Set the default session's backend; returns the previous one."""
     return _engine(None).set_default_backend(backend)
-
-
-def configure_cache(
-    enabled: bool | None = None, maxsize: int | None = None
-) -> None:
-    """Enable/disable the default session's hom-cache or resize it."""
-    _engine(None).configure_cache(enabled=enabled, maxsize=maxsize)
-
-
-def clear_hom_cache() -> None:
-    """Drop the default session's cached answers and reset counters."""
-    _engine(None).clear_cache()
-
-
-def hom_cache_info() -> CacheInfo:
-    """Hit/miss counters and occupancy of the default session's cache."""
-    return _engine(None).cache_info()
-
-
-def _freeze_nodes(nodes: Iterable[Node] | None) -> tuple | None:
-    if nodes is None:
-        return None
-    return tuple(sorted(nodes, key=_canonical_key))
-
-
-def _cache_key(
-    backend: str,
-    source: Structure,
-    target: Structure,
-    seed: Seed | None,
-    restrict_image: frozenset[Node] | None,
-    node_domains: NodeDomains | None,
-    forbid: frozenset[Node] | None,
-) -> tuple:
-    frozen_seed = (
-        None
-        if not seed
-        else tuple(sorted(seed.items(), key=lambda kv: _canonical_key(kv[0])))
-    )
-    frozen_domains = (
-        None
-        if not node_domains
-        else tuple(
-            sorted(
-                (
-                    (node, _freeze_nodes(allowed))
-                    for node, allowed in node_domains.items()
-                ),
-                key=lambda kv: _canonical_key(kv[0]),
-            )
-        )
-    )
-    # The backend is part of the key: a cross-validation call with an
-    # explicit backend= must never be answered from the other backend's
-    # cached result (naive is documented as the correctness oracle).
-    return (
-        backend,
-        source.fingerprint,
-        target.fingerprint,
-        frozen_seed,
-        _freeze_nodes(restrict_image),
-        frozen_domains,
-        _freeze_nodes(forbid),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1072,8 +900,8 @@ def iter_homomorphisms(
     ``seed`` fixes images for some source nodes.  ``restrict_image``
     limits candidate images of non-seeded nodes.  ``node_domains`` maps
     individual source nodes to their allowed image sets and ``forbid``
-    excludes target nodes globally (both are cache-friendly, declarative
-    alternatives to ``node_filter``).  ``node_filter(x, v)`` may veto
+    excludes target nodes globally (both are declarative alternatives to
+    ``node_filter``, applied as masks).  ``node_filter(x, v)`` may veto
     mapping source node ``x`` to target node ``v``.  ``backend``
     overrides the session default (``naive``, ``bitset``, ``matrix`` or
     ``auto``); all backends yield exactly the same set of
@@ -1111,38 +939,15 @@ def find_homomorphism(
     node_domains: NodeDomains | None = None,
     forbid: frozenset[Node] | None = None,
     backend: str | None = None,
-    use_cache: bool | None = None,
     session=None,
     budget: Budget | None = None,
 ) -> dict[Node, Node] | None:
-    """The first homomorphism found, or ``None`` (LRU-cached).
+    """The first homomorphism found, or ``None``.
 
-    Answers are cached across structurally-equal source/target pairs
-    unless a ``node_filter`` callable is given or ``use_cache=False``.
-    Cache hits never touch the ``budget``; a miss charges the search
-    to it (resolved from the session when omitted).
+    The search is charged to the ``budget`` (resolved from the session
+    when omitted).
     """
-    engine = _engine(session)
-    cacheable = (
-        node_filter is None
-        and use_cache is not False
-        and engine.cache_enabled
-    )
-    resolved = engine.resolve_backend(backend, target, source)
-    if cacheable:
-        key = _cache_key(
-            resolved,
-            source,
-            target,
-            seed,
-            restrict_image,
-            node_domains,
-            forbid,
-        )
-        hit = engine._cache_get(key)
-        if hit is not _MISS:
-            return None if hit is None else dict(hit)
-    hom = next(
+    return next(
         iter_homomorphisms(
             source,
             target,
@@ -1151,15 +956,12 @@ def find_homomorphism(
             node_filter,
             node_domains=node_domains,
             forbid=forbid,
-            backend=resolved,
+            backend=backend,
             session=session,
             budget=budget,
         ),
         None,
     )
-    if cacheable:
-        engine._cache_put(key, None if hom is None else tuple(hom.items()))
-    return hom
 
 
 def _count_homomorphisms(
@@ -1172,36 +974,14 @@ def _count_homomorphisms(
     node_domains: NodeDomains | None = None,
     forbid: frozenset[Node] | None = None,
     backend: str | None = None,
-    use_cache: bool | None = None,
     session=None,
     budget: Budget | None = None,
 ) -> int:
     """The number of homomorphisms from ``source`` to ``target`` —
     the exact (arbitrary-precision python int) COUNT kernel behind
     :func:`semiring_evaluate` and ``Session.count_homomorphisms``.
-
-    Enumeration sizes are LRU-cached alongside the find/has answers
-    (under a distinct key tag, so a cached witness never masquerades as
-    a count), and a counting pass seeds the :func:`find_homomorphism`
-    entry for the same arguments with its first witness — counting then
-    asking for a witness costs one search, not two.  ``node_filter``
-    callables bypass the cache, as everywhere else.
     """
-    engine = _engine(session)
-    cacheable = (
-        node_filter is None
-        and use_cache is not False
-        and engine.cache_enabled
-    )
-    resolved = engine.resolve_backend(backend, target, source)
-    if cacheable:
-        key = ("count",) + _cache_key(
-            resolved, source, target, seed, restrict_image,
-            node_domains, forbid,
-        )
-        hit = engine._cache_get(key)
-        if hit is not _MISS:
-            return hit
+    resolved = _engine(session).resolve_backend(backend, target, source)
     if resolved == "decomp":
         # Bag-product counting: the DP multiplies per-bag extension
         # counts in one bottom-up pass instead of enumerating the hom
@@ -1209,14 +989,13 @@ def _count_homomorphisms(
         # exponentially large even for tree queries).
         if budget is None:
             budget = call_budget(session)
-        count, first = _decomp.count_decomp(
+        return _decomp.count_decomp(
             source, target, dict(seed or {}), restrict_image,
             node_filter, node_domains, forbid, budget,
         )
-    else:
-        first = None
-        count = 0
-        for hom in iter_homomorphisms(
+    return sum(
+        1
+        for _hom in iter_homomorphisms(
             source,
             target,
             seed,
@@ -1227,20 +1006,8 @@ def _count_homomorphisms(
             backend=resolved,
             session=session,
             budget=budget,
-        ):
-            if first is None:
-                first = hom
-            count += 1
-    if cacheable:
-        engine._cache_put(key, count)
-        find_key = _cache_key(
-            resolved, source, target, seed, restrict_image,
-            node_domains, forbid,
         )
-        engine._cache_put(
-            find_key, None if first is None else tuple(first.items())
-        )
-    return count
+    )
 
 
 def count_homomorphisms(
@@ -1253,7 +1020,6 @@ def count_homomorphisms(
     node_domains: NodeDomains | None = None,
     forbid: frozenset[Node] | None = None,
     backend: str | None = None,
-    use_cache: bool | None = None,
     session=None,
     budget: Budget | None = None,
 ) -> int:
@@ -1280,7 +1046,6 @@ def count_homomorphisms(
         node_domains=node_domains,
         forbid=forbid,
         backend=backend,
-        use_cache=use_cache,
         session=session,
         budget=budget,
     )
@@ -1468,7 +1233,6 @@ def semiring_evaluate(
     forbid: frozenset[Node] | None = None,
     weights: Mapping | None = None,
     backend: str | None = None,
-    use_cache: bool | None = None,
     session=None,
     budget: Budget | None = None,
 ) -> Evaluation:
@@ -1479,8 +1243,8 @@ def semiring_evaluate(
     semiring (name or instance) and the backend, then routes —
 
     * unweighted idempotent semirings (``bool``, bare ``minplus``/
-      ``maxplus``) ride the cached :func:`find_homomorphism` path and
-      carry the witness;
+      ``maxplus``) ride the :func:`find_homomorphism` path and carry
+      the witness;
     * unweighted ``count`` (and any non-idempotent carrier) rides the
       exact :func:`_count_homomorphisms` kernel, mapped into the
       carrier by logarithmic ``⊕``-doubling;
@@ -1492,17 +1256,13 @@ def semiring_evaluate(
       ``node_filter`` callables — folds the weighted enumeration
       oracle, tracking an arg-best witness for selective semirings.
 
-    Values are LRU-cached under ``("semiring", name, frozen-weights)``
-    tagged keys (wire-encoded, so cached ``why`` polynomials stay
-    canonical); unhashable weight values simply bypass the cache.
     This is an *inner* surface: a tripped budget raises
     :class:`~repro.core.errors.ResourceExhausted` — ``Session.evaluate``
     is the governed outermost wrapper that converts it to an
     ``Evaluation`` with ``reason`` set.
     """
     sr = resolve_semiring(semiring)
-    engine = _engine(session)
-    resolved = engine.resolve_backend(backend, target, source)
+    resolved = _engine(session).resolve_backend(backend, target, source)
     weighted = weights is not None or sr.annotate_fact is not None
     if not weighted:
         # Every hom contributes ``one``: the value is determined by
@@ -1511,32 +1271,17 @@ def semiring_evaluate(
             hom = find_homomorphism(
                 source, target, seed, restrict_image, node_filter,
                 node_domains=node_domains, forbid=forbid, backend=resolved,
-                use_cache=use_cache, session=session, budget=budget,
+                session=session, budget=budget,
             )
             value = sr.one if hom is not None else sr.zero
             return Evaluation(value, sr.name, resolved, witness=hom)
         count = _count_homomorphisms(
             source, target, seed, restrict_image, node_filter,
             node_domains=node_domains, forbid=forbid, backend=resolved,
-            use_cache=use_cache, session=session, budget=budget,
+            session=session, budget=budget,
         )
         value = count if sr.name == "count" else _nfold_sum(sr, count)
         return Evaluation(value, sr.name, resolved)
-    frozen = freeze_weights(weights) if weights is not None else ()
-    cacheable = (
-        node_filter is None
-        and use_cache is not False
-        and engine.cache_enabled
-        and (weights is None or frozen is not None)
-    )
-    if cacheable:
-        key = ("semiring", sr.name, frozen) + _cache_key(
-            resolved, source, target, seed, restrict_image,
-            node_domains, forbid,
-        )
-        hit = engine._cache_get(key)
-        if hit is not _MISS:
-            return Evaluation(sr.decode(hit), sr.name, resolved)
     if budget is None:
         budget = call_budget(session)
     witness = None
@@ -1573,8 +1318,6 @@ def semiring_evaluate(
             if witness is None or (sr.is_selective and new != value):
                 witness = hom
             value = new
-    if cacheable:
-        engine._cache_put(key, sr.encode(value))
     return Evaluation(value, sr.name, resolved, witness=witness)
 
 
@@ -1588,12 +1331,10 @@ def has_homomorphism(
     node_domains: NodeDomains | None = None,
     forbid: frozenset[Node] | None = None,
     backend: str | None = None,
-    use_cache: bool | None = None,
     session=None,
     budget: Budget | None = None,
 ) -> bool:
-    """Does any homomorphism exist?  Shares the :func:`find_homomorphism`
-    cache."""
+    """Does any homomorphism exist?"""
     return (
         find_homomorphism(
             source,
@@ -1604,7 +1345,6 @@ def has_homomorphism(
             node_domains=node_domains,
             forbid=forbid,
             backend=backend,
-            use_cache=use_cache,
             session=session,
             budget=budget,
         )
@@ -1648,7 +1388,6 @@ def covers_any(
     seeds: Sequence[Seed | None] | None = None,
     *,
     backend: str | None = None,
-    use_cache: bool | None = None,
     session=None,
     budget: Budget | None = None,
 ) -> bool:
@@ -1672,7 +1411,6 @@ def covers_any(
             target,
             seed=seed,
             backend=backend,
-            use_cache=use_cache,
             session=session,
             budget=budget,
         ):
@@ -1685,24 +1423,20 @@ def evaluate_batch(
     instances: Iterable[Structure],
     *,
     backend: str | None = None,
-    use_cache: bool | None = None,
     session=None,
     budget: Budget | None = None,
 ) -> list[bool]:
     """Evaluate one Boolean CQ over many data instances.
 
-    The query-side indexes and domains are shared across the batch and
-    each per-instance answer goes through the hom-cache, so repeated
-    instances (common in completion lattices and probe universes) are
-    answered once.  One budget spans the whole batch; exhaustion raises
-    (use :func:`evaluate_batch_governed` to keep partial results).
+    The query's compiled source plan is shared across the batch.  One
+    budget spans the whole batch; exhaustion raises (use
+    :func:`evaluate_batch_governed` to keep partial results).
     """
     if budget is None:
         budget = call_budget(session)
     return [
         has_homomorphism(
-            query, data, backend=backend, use_cache=use_cache,
-            session=session, budget=budget,
+            query, data, backend=backend, session=session, budget=budget,
         )
         for data in instances
     ]
@@ -1713,7 +1447,6 @@ def evaluate_batch_governed(
     instances: Iterable[Structure],
     *,
     backend: str | None = None,
-    use_cache: bool | None = None,
     session=None,
     budget: Budget | None = None,
 ) -> list[bool | str]:
@@ -1737,8 +1470,8 @@ def evaluate_batch_governed(
                     budget.checkpoint()
                 out.append(
                     has_homomorphism(
-                        query, data, backend=backend, use_cache=use_cache,
-                        session=session, budget=budget,
+                        query, data, backend=backend, session=session,
+                        budget=budget,
                     )
                 )
                 continue

@@ -10,9 +10,8 @@ This module is the stable call surface; the search itself lives in
 ``bitset`` (integer-interned domains as Python-int bitsets with AC-3
 preprocessing, forward checking against precomputed adjacency masks, and
 dynamic most-constrained-variable ordering; the default), ``matrix``
-(the dense numpy variant) and ``auto`` (per-target selection) — plus a
-per-session LRU hom-cache keyed on structure fingerprints and the batch
-entry points :func:`~repro.core.homengine.covers_any` and
+(the dense numpy variant) and ``auto`` (per-target selection) — plus
+the batch entry points :func:`~repro.core.homengine.covers_any` and
 :func:`~repro.core.homengine.evaluate_batch`.  Every entry point takes
 ``session=`` to run inside an explicit
 :class:`~repro.session.Session`; without it the default session is
@@ -25,8 +24,8 @@ and the blow-up checks of the Λ-CQ decider.  They support:
 * optional *seeds* (partial maps that must be extended), used for the
   paper's focused homomorphisms (``h(r) = r``) and gadget triggering,
 * ``restrict_image`` / ``forbid`` / per-node ``node_domains`` image
-  constraints (declarative, cache-friendly), and
-* an opaque ``node_filter(x, v)`` veto callable (never cached).
+  constraints (declarative), and
+* an opaque ``node_filter(x, v)`` veto callable.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ execution of the shards that still failed); closing it early cancels
 the shards that have not started.  Every entry point consumes it.
 Batches smaller than ``min_batch`` (``EngineConfig.parallel_min``,
 default 24) — and all batches when the pool is disabled or unavailable
-— take the serial path, sharing the in-process hom-cache.
+— take the serial path in-process.
 
 * :func:`parallel_evaluate_batch`, :func:`parallel_semiring_batch` and
   :func:`parallel_ucq_answers` collect the executor in input order.
@@ -225,8 +225,9 @@ def _freeze_seed(seed) -> tuple | None:
 
 # One session per worker process, keyed by the (picklable, frozen)
 # EngineConfig that shipped with the task.  Tasks from the same calling
-# session reuse it — along with its hom-cache — across the pool's
-# lifetime; a task from a differently-configured session swaps it out.
+# session reuse it — along with its decomp plans and cactus state —
+# across the pool's lifetime; a task from a differently-configured
+# session swaps it out.
 _WORKER_SESSION: tuple[EngineConfig, object] | None = None
 
 # Fault injection (test-only, driven by ``EngineConfig.fault_plan``):
@@ -299,7 +300,6 @@ def _worker_semiring_chunk(
     weights_wire: tuple | None,
     backend: str | None,
     cache_limit: int = 0,
-    use_cache: bool | None = None,
     config: EngineConfig | None = None,
 ) -> "list[tuple]":
     """One semiring-tagged shard: evaluate the query over a chunk of
@@ -337,7 +337,6 @@ def _worker_semiring_chunk(
                     sr,
                     weights=weights,
                     backend=backend,
-                    use_cache=use_cache,
                     session=session,
                 )
                 out.append(("ok", sr.encode(ev.value)))
@@ -352,7 +351,6 @@ def _worker_ucq_chunk(
     instance_wires: list[Wire],
     backend: str | None,
     cache_limit: int = 0,
-    use_cache: bool | None = None,
     config: EngineConfig | None = None,
 ) -> "list[bool | str]":
     session = _worker_session(config)
@@ -373,8 +371,7 @@ def _worker_ucq_chunk(
                 answers.append(
                     any(
                         homengine.has_homomorphism(
-                            d, instance, backend=backend,
-                            use_cache=use_cache, session=session,
+                            d, instance, backend=backend, session=session,
                         )
                         for d in disjuncts
                     )
@@ -385,7 +382,7 @@ def _worker_ucq_chunk(
     return answers
 
 
-def _screen_columns(queries, instances, backend, use_cache, session, budget):
+def _screen_columns(queries, instances, backend, session, budget):
     """Yield each instance's answer column (one entry per query),
     instance by instance, every answer charged to the one ``budget``.
 
@@ -404,8 +401,7 @@ def _screen_columns(queries, instances, backend, use_cache, session, budget):
                         budget.checkpoint()
                     column.append(
                         homengine.has_homomorphism(
-                            q, instance, backend=backend,
-                            use_cache=use_cache, session=session,
+                            q, instance, backend=backend, session=session,
                             budget=budget,
                         )
                     )
@@ -421,7 +417,6 @@ def _worker_screen_chunk(
     instance_wires: list[Wire],
     backend: str | None,
     cache_limit: int = 0,
-    use_cache: bool | None = None,
     config: EngineConfig | None = None,
 ) -> "list[list[bool | str]]":
     """One screen shard: the answer column of each instance in the
@@ -434,9 +429,7 @@ def _worker_screen_chunk(
     instances = [from_wire_cached(w, cache_limit) for w in instance_wires]
     with governed_scope(session) as budget:
         return list(
-            _screen_columns(
-                queries, instances, backend, use_cache, session, budget
-            )
+            _screen_columns(queries, instances, backend, session, budget)
         )
 
 
@@ -445,7 +438,6 @@ def _worker_covers_chunk(
     pairs: list[tuple[Wire, tuple | None]],
     backend: str | None,
     cache_limit: int = 0,
-    use_cache: bool | None = None,
     config: EngineConfig | None = None,
 ) -> "bool | str":
     session = _worker_session(config)
@@ -462,7 +454,6 @@ def _worker_covers_chunk(
                     target,
                     seed=dict(seed_items) if seed_items else None,
                     backend=backend,
-                    use_cache=use_cache,
                     session=session,
                 ):
                     return True
@@ -791,29 +782,23 @@ def _runtime(session) -> PoolRuntime:
     return default_session().pool
 
 
-def _worker_opts(
-    session, backend: str | None
-) -> tuple[str, bool | None, EngineConfig]:
+def _worker_opts(session, backend: str | None) -> tuple[str, EngineConfig]:
     """What shipped tasks must honour from the calling session.
 
     Workers run their *own* sessions, so an explicitly configured
     calling session would silently lose its knobs the moment a batch
     shards.  This resolves everything on the parent side: the wire
     backend is the per-call override or the calling session's default
-    (``"auto"`` ships as-is — workers keep resolving it per call),
-    ``use_cache`` is ``False`` when the calling session disabled its
-    hom-cache (``None`` otherwise: an enabled parent cache lets each
-    worker use its own LRU, which is the point of pooling), and the
-    *full resolved* :class:`EngineConfig` ships alongside, so worker
-    sessions honour the caller's cache sizes and thresholds instead of
-    env-built defaults.  ``workers`` is forced to 1 in the shipped
-    config: a worker must never spawn a nested pool.
+    (``"auto"`` ships as-is — workers keep resolving it per call), and
+    the *full resolved* :class:`EngineConfig` ships alongside, so
+    worker sessions honour the caller's cache sizes and thresholds
+    instead of env-built defaults.  ``workers`` is forced to 1 in the
+    shipped config: a worker must never spawn a nested pool.
     """
     if session is None:
         from ..session import default_session
 
         session = default_session()
-    engine = session.hom
     if backend is not None and backend not in BACKEND_CHOICES:
         # Validate on the parent side: a typo'd backend must raise
         # here, not fail inside every worker and burn the pool's
@@ -823,14 +808,9 @@ def _worker_opts(
             f"unknown backend {backend!r}; expected {BACKEND_CHOICES}"
         )
     wire_backend = (
-        backend if backend is not None else engine.default_backend
+        backend if backend is not None else session.hom.default_backend
     )
-    wire_config = session.config.replace(workers=1)
-    return (
-        wire_backend,
-        (None if engine.cache_enabled else False),
-        wire_config,
-    )
+    return wire_backend, session.config.replace(workers=1)
 
 
 # ----------------------------------------------------------------------
@@ -939,17 +919,17 @@ def parallel_evaluate_batch(
     """:func:`~repro.core.homengine.evaluate_batch`, sharded.
 
     Small batches (fewer than ``min_batch`` instances), a single-worker
-    configuration, and pool-less sandboxes all take the serial path —
-    byte-for-byte today's behaviour, hom-cache included.  Large batches
-    are split into two chunks per worker (for load balancing) and
-    evaluated in worker processes that rebuild the structures from the
-    wire format; result order matches the input order.  A per-call
-    ``workers=`` override gates the serial/parallel decision and caps
-    this call's chunk fan-out; the pool itself is sized by the session
-    config (:func:`configure_pool` on the default session).
+    configuration, and pool-less sandboxes all take the serial path.
+    Large batches are split into two chunks per worker (for load
+    balancing) and evaluated in worker processes that rebuild the
+    structures from the wire format; result order matches the input
+    order.  A per-call ``workers=`` override gates the serial/parallel
+    decision and caps this call's chunk fan-out; the pool itself is
+    sized by the session config (:func:`configure_pool` on the default
+    session).
     """
     rt = _runtime(session)
-    wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
+    wire_backend, wire_config = _worker_opts(session, backend)
     instances = list(instances)
     shared: dict = {}
 
@@ -962,7 +942,6 @@ def parallel_evaluate_batch(
             [to_wire(s) for s in chunk],
             wire_backend,
             rt.worker_cache,
-            wire_cache,
             wire_config,
         )
 
@@ -1029,7 +1008,7 @@ def parallel_semiring_batch(
     budget trips are kept, later entries carry ``reason``.
     """
     rt = _runtime(session)
-    wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
+    wire_backend, wire_config = _worker_opts(session, backend)
     sr = resolve_semiring(semiring)
     instances = list(instances)
 
@@ -1086,7 +1065,6 @@ def parallel_semiring_batch(
             weights_wire,
             wire_backend,
             rt.worker_cache,
-            wire_cache,
             wire_config,
         )
 
@@ -1236,7 +1214,7 @@ def parallel_screen_stream(
     instances.
     """
     rt = _runtime(session)
-    wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
+    wire_backend, wire_config = _worker_opts(session, backend)
     queries = list(queries)
     instances = list(instances)
     if not queries or not instances:
@@ -1258,7 +1236,6 @@ def parallel_screen_stream(
             queries,
             (instances[i] for i in missing),
             backend,
-            None,
             session,
             call_budget(session),
         )
@@ -1276,7 +1253,6 @@ def parallel_screen_stream(
                     [to_wire(s) for s in instances[start:stop]],
                     wire_backend,
                     rt.worker_cache,
-                    wire_cache,
                     wire_config,
                 )
                 for start, stop in runs
@@ -1332,10 +1308,10 @@ def parallel_ucq_answers(
     is below ``min_batch`` or the pool is unavailable — the caller
     should then take its serial path
     (:func:`repro.core.boundedness.ucq_certain_answers` keeps the
-    pending-filtered sweep with the shared hom-cache).
+    pending-filtered sweep).
     """
     rt = _runtime(session)
-    wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
+    wire_backend, wire_config = _worker_opts(session, backend)
     disjuncts = list(disjuncts)
     instances = list(instances)
     if not disjuncts or not instances:
@@ -1350,7 +1326,6 @@ def parallel_ucq_answers(
             [to_wire(s) for s in chunk],
             wire_backend,
             rt.worker_cache,
-            wire_cache,
             wire_config,
         )
 
@@ -1390,7 +1365,7 @@ def parallel_covers_any(
     have not started.
     """
     rt = _runtime(session)
-    wire_backend, wire_cache, wire_config = _worker_opts(session, backend)
+    wire_backend, wire_config = _worker_opts(session, backend)
     pairs = list(homengine._source_seed_pairs(sources, seeds))
     pool, chunks = rt.shard_chunks(
         pairs,
@@ -1408,7 +1383,6 @@ def parallel_covers_any(
             [(to_wire(s), _freeze_seed(seed)) for s, seed in chunk],
             wire_backend,
             rt.worker_cache,
-            wire_cache,
             wire_config,
         )
         for chunk in chunks

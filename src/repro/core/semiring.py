@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .errors import Answer, UnknownSemiring
-from .structure import BinaryFact, Node, Structure, UnaryFact, _canonical_key
+from .structure import BinaryFact, Node, Structure, UnaryFact
 
 __all__ = [
     "BOOL",
@@ -319,25 +319,6 @@ def hom_weight(
             ),
         )
     return total
-
-
-def freeze_weights(weights: Mapping | None) -> tuple | None:
-    """A hashable, order-independent form of a fact-annotation mapping
-    (for semiring-tagged hom-cache keys); ``None`` when the values are
-    unhashable (the call then simply bypasses the cache)."""
-    if weights is None:
-        return None
-    try:
-        frozen = tuple(
-            sorted(
-                ((fact, value) for fact, value in weights.items()),
-                key=lambda kv: _canonical_key(_fact_wire(kv[0])),
-            )
-        )
-        hash(frozen)  # unhashable values must bypass the cache
-    except TypeError:
-        return None
-    return frozen
 
 
 # ----------------------------------------------------------------------

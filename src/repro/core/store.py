@@ -1,12 +1,11 @@
 """Durable state tier: a crash-safe, checksummed, disk-backed store.
 
-This module is the persistence layer under every session cache: hom
-answers (witnesses, counts, semiring-tagged evaluations) written
-through from :class:`~repro.core.homengine.HomEngine`'s LRU, compiled
+This module is the persistence layer of a session: compiled
 :class:`~repro.core.decomp.DecompPlan`s shared process-wide via
-:func:`repro.core.decomp.set_plan_store`, and the checkpoint rows that
-let :meth:`repro.session.Session.screen` and the boundedness probe
-resume after a crash.  Everything is keyed by *content fingerprints*
+:func:`repro.core.decomp.set_plan_store`, the checkpoint rows that let
+:meth:`repro.session.Session.screen` and the boundedness probe resume
+after a crash, and the job service's job records and leases.  Plans and
+checkpoints are keyed by *content fingerprints*
 (:attr:`repro.core.structure.Structure.fingerprint` — a stable blake2b
 multiset hash), so a store written by one process, worker, or deploy is
 valid for any other that computes the same structures.
@@ -40,8 +39,8 @@ layers enforce that:
 
 Degradation is graceful by default (``durability="best-effort"``): an
 unavailable, full, or read-only disk silently disables the store and
-the engine runs on its in-memory LRUs alone, byte-for-byte as if
-``cache_dir`` had never been set.  ``durability="strict"`` turns every
+the engine runs in memory alone, byte-for-byte as if ``cache_dir`` had
+never been set.  ``durability="strict"`` turns every
 quarantine/degrade event into a raised
 :class:`~repro.core.errors.StoreCorruption` instead, for deployments
 that monitor their cache tier.
@@ -103,7 +102,7 @@ LEASE_NS = "lease:v1"
 
 # Buffered puts are flushed every this many entries (and on close /
 # checkpoint / stats).  WAL commits are cheap, but one transaction per
-# hom-cache insert would still dominate small-answer workloads.
+# put would still dominate a burst of small rows.
 _FLUSH_EVERY = 64
 
 # When the file outgrows ``cache_bytes``, the oldest rows (by insertion
@@ -468,8 +467,8 @@ class DurableStore:
 
     @_locked
     def put(self, ns: str, key, value, flush: bool = False) -> None:
-        """Buffer ``(ns, key) -> value`` for write-through; ``flush``
-        commits the whole buffer transactionally now."""
+        """Buffer ``(ns, key) -> value``; ``flush`` commits the whole
+        buffer transactionally now."""
         if not self.enabled:
             return
         try:

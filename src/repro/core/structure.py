@@ -66,11 +66,12 @@ def _canonical_key(node: Node) -> str:
     those types); any other object is keyed by its type's qualified name
     plus ``repr``.
 
-    The fingerprint-keyed hom-cache relies on distinct nodes producing
-    distinct keys, so custom node classes must have a ``repr`` that is
-    injective up to ``__eq__`` (dataclass field reprs qualify); a
-    constant or identity-blind ``repr`` on a custom node type can alias
-    cache entries of structurally different structures.
+    Fingerprint-keyed state (decomp plans, checkpoint rows, the probe's
+    answer memo) relies on distinct nodes producing distinct keys, so
+    custom node classes must have a ``repr`` that is injective up to
+    ``__eq__`` (dataclass field reprs qualify); a constant or
+    identity-blind ``repr`` on a custom node type can alias entries of
+    structurally different structures.
     """
     if isinstance(node, tuple):
         return "(" + "\x1f".join(_canonical_key(x) for x in node) + ")"
@@ -748,7 +749,8 @@ class Structure:
         Two structures with equal nodes and facts always produce the same
         fingerprint, even when built in different orders, as distinct
         instances, or through :meth:`extended` (which maintains the
-        digest by a delta); the homomorphism cache relies on this.
+        digest by a delta); decomp plans and checkpoint rows rely on
+        this.
         """
         if self._fingerprint is None:
             self._fingerprint = format(self._fp_int, "032x")

@@ -395,9 +395,9 @@ def _segment_cover_exists(
     no node on ``forbidden``?
 
     The constraints are passed declaratively (``node_domains`` for the
-    budded leaves, ``forbid`` for the parent focus) so the cuttability
-    fixpoint's many repeated checks hit the engine's hom-cache instead
-    of re-running an uncacheable ``node_filter`` search.
+    budded leaves, ``forbid`` for the parent focus), which the bitset
+    backend folds into its initial domains instead of calling a
+    ``node_filter`` per candidate.
     """
     k = one_cq.span
     approved_frozen = frozenset(approved)

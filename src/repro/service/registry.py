@@ -1,6 +1,6 @@
 """Tenant → :class:`~repro.session.Session` registry with LRU eviction.
 
-Every tenant gets its own session (own hom-cache, own pool, own
+Every tenant gets its own session (own cactus state, own pool, own
 governance budgets) built from the server's base
 :class:`~repro.core.config.EngineConfig` plus an optional per-tenant
 overlay — a dict of config fields validated through

@@ -27,7 +27,7 @@ Routes
 ``GET /healthz``                liveness + backlog counters + drain flag
 ``GET /v1/config``              resolved ``EngineConfig``
                                 (:func:`~repro.service.wire.config_to_json`)
-``GET /v1/metrics``             hom-cache / pool / store / job counters
+``GET /v1/metrics``             pool / store / job counters
 ==============================  ==============================================
 
 Graceful drain: ``run()`` (the ``repro serve`` entry) installs a

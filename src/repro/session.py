@@ -3,9 +3,8 @@ context for the whole engine.
 
 A session owns a frozen :class:`~repro.core.config.EngineConfig` and
 *all* mutable engine state that used to live in module globals: the hom
-backend choice and LRU hom-cache
-(:class:`~repro.core.homengine.HomEngine`), the cactus factory pool and
-cross-factory structure intern
+backend choice (:class:`~repro.core.homengine.HomEngine`), the cactus
+factory pool and cross-factory structure intern
 (:class:`~repro.core.cactus.CactusState`), and the shard executor with
 its parallel thresholds (:class:`~repro.core.runtime.PoolRuntime`).
 Two sessions never share state, so two differently-configured
@@ -16,7 +15,7 @@ process::
     from repro import EngineConfig, Session
 
     fast = Session(EngineConfig(backend="bitset"))
-    oracle = Session(EngineConfig(backend="naive", hom_cache=False))
+    oracle = Session(EngineConfig(backend="naive"))
     assert fast.certain_answer(q, d) == oracle.certain_answer(q, d)
 
 Configuration precedence is ``env < config < per-call kwarg``: the
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .core import boundedness as _boundedness
@@ -83,17 +83,16 @@ class Session:
         self.cactus = _cactus.CactusState(self.config)
         self.pool = _runtime.PoolRuntime(self.config)
         # Durable disk tier (None unless cache_dir is configured):
-        # layered under the hom LRU and the decomp plan intern, and the
-        # home of screen/probe checkpoint rows.  Workers build their
-        # own Session from the shipped config and thus open the same
-        # store file (sqlite WAL makes that safe).
+        # layered under the decomp plan intern, and the home of
+        # screen/probe checkpoint rows.  Workers build their own
+        # Session from the shipped config and thus open the same store
+        # file (sqlite WAL makes that safe).
         self.store = _store.DurableStore.open(
             self.config.cache_dir,
             self.config.cache_bytes,
             self.config.durability,
         )
         if self.store is not None:
-            self.hom.attach_store(self.store)
             _decomp.set_plan_store(self.store)
         # The operation-wide budget installed by governed_scope() (or
         # the service tier's per-job scope) while a top-level governed
@@ -121,8 +120,7 @@ class Session:
     def __repr__(self) -> str:
         return (
             f"Session(backend={self.hom.default_backend!r}, "
-            f"workers={self.pool.workers}, "
-            f"hom_cache={self.hom.cache_maxsize if self.hom.cache_enabled else 'off'})"
+            f"workers={self.pool.workers})"
         )
 
     # -- lifecycle ------------------------------------------------------
@@ -152,8 +150,7 @@ class Session:
         self.close()
 
     def clear_caches(self) -> None:
-        """Drop the hom-cache, the factory pool and the intern table."""
-        self.hom.clear_cache()
+        """Drop the factory pool and the intern table."""
         self.cactus.clear()
 
     def resolve_backend(
@@ -256,8 +253,10 @@ class Session:
         )
 
     def hom_cache_info(self):
-        """Hit/miss counters and occupancy of this session's hom-cache."""
-        return self.hom.cache_info()
+        """Zero hits and misses: there is no hom-answer cache.  Kept,
+        with the ``hom_cache`` block of :meth:`metrics`, for the
+        readers of the old counters until they are removed."""
+        return SimpleNamespace(hits=0, misses=0)
 
     def pool_info(self):
         """Configuration and liveness of this session's shard executor."""
@@ -265,21 +264,15 @@ class Session:
 
     def metrics(self) -> dict:
         """Every engine counter of this session as one plain-data dict:
-        hom-cache hits/misses/occupancy, pool configuration/liveness/
-        failure bookkeeping, and (when a durable store is attached) the
-        store's lifetime traffic and occupancy.  JSON-serialisable by
-        construction — the payload behind the service tier's
-        ``GET /v1/metrics``."""
-        cache = self.hom.cache_info()
+        pool configuration/liveness/failure bookkeeping and (when a
+        durable store is attached) the store's lifetime traffic and
+        occupancy.  JSON-serialisable by construction — the payload
+        behind the service tier's ``GET /v1/metrics``.  The
+        ``hom_cache`` block is always zero (see :meth:`hom_cache_info`).
+        """
         pool = self.pool.info()
         out = {
-            "hom_cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "size": cache.size,
-                "maxsize": cache.maxsize,
-                "enabled": cache.enabled,
-            },
+            "hom_cache": {"hits": 0, "misses": 0},
             "pool": {
                 "workers": pool.workers,
                 "min_batch": pool.min_batch,
@@ -336,7 +329,6 @@ class Session:
         backend: str | None = None,
         seed=None,
         restrict_image=None,
-        use_cache: bool | None = None,
         strategy: str | None = None,
     ) -> "_semiring.Evaluation":
         """Evaluate the CQ ``q`` over ``data`` under a commutative
@@ -388,7 +380,6 @@ class Session:
                     restrict_image,
                     weights=weights,
                     backend=backend,
-                    use_cache=use_cache,
                     session=self,
                 )
         except _errors.ResourceExhausted as exc:

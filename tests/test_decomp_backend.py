@@ -172,16 +172,16 @@ class TestFourWayCrossValidation:
         q = random_instance(4, 6, seed)
         d = random_instance(6, 10, seed + 1)
         verdicts = {
-            b: has_homomorphism(q, d, backend=b, use_cache=False)
+            b: has_homomorphism(q, d, backend=b)
             for b in BACKENDS
         }
         assert len(set(verdicts.values())) == 1
         counts = {
-            b: _count_homomorphisms(q, d, backend=b, use_cache=False)
+            b: _count_homomorphisms(q, d, backend=b)
             for b in BACKENDS
         }
         assert len(set(counts.values())) == 1
-        witness = find_homomorphism(q, d, backend="decomp", use_cache=False)
+        witness = find_homomorphism(q, d, backend="decomp")
         assert (witness is not None) == verdicts["naive"]
         if witness is not None:
             assert is_homomorphism(q, d, witness)
@@ -190,8 +190,8 @@ class TestFourWayCrossValidation:
         q = path_structure(["T", "", "F"])
         family = instance_family(count=12, n=10, edge_count=20, seed=3)
         assert evaluate_batch(
-            q, family, backend="decomp", use_cache=False
-        ) == evaluate_batch(q, family, backend="naive", use_cache=False)
+            q, family, backend="decomp"
+        ) == evaluate_batch(q, family, backend="naive")
 
     def test_count_is_bag_product_not_enumeration(self):
         """A query with an astronomical hom count must still count
@@ -203,7 +203,7 @@ class TestFourWayCrossValidation:
         q = b.build()
         d = random_instance(30, 40, seed=5)
         assert (
-            _count_homomorphisms(q, d, backend="decomp", use_cache=False)
+            _count_homomorphisms(q, d, backend="decomp")
             == len(d.nodes) ** 12
         )
 
@@ -309,6 +309,13 @@ class TestProbeWarmStart:
                     assert (a.verdict, a.depth, a.uncovered) == (
                         b.verdict, b.depth, b.uncovered,
                     ), (name, require_focus)
+                    # A repeated probe on the same session agrees.
+                    again = probe_boundedness(
+                        cq, 3, require_focus=require_focus, session=warm
+                    )
+                    assert (again.verdict, again.depth, again.uncovered) == (
+                        a.verdict, a.depth, a.uncovered,
+                    ), (name, require_focus)
 
     def test_warm_starts_actually_engage(self):
         """On a span-1 chain query the depth loop must answer most
@@ -406,14 +413,12 @@ class TestProbeWarmStart:
         plan = decomp_plan(q)
         assert MaskCoverageState.cold(plan, split, None).covered is False
         assert MaskCoverageState.cold(plan, joint, None).covered is True
-        assert not has_homomorphism(q, split, backend="decomp",
-                                    use_cache=False)
-        assert has_homomorphism(q, joint, backend="decomp",
-                                use_cache=False)
+        assert not has_homomorphism(q, split, backend="decomp")
+        assert has_homomorphism(q, joint, backend="decomp")
 
     def test_span2_probes_keep_the_batch_path(self):
         """Bushy span >= 2 probes (exponential layers of small
-        cactuses) stay on the hom-cached, shardable batch path where
+        cactuses) stay on the shardable batch path where
         the constants favour it; the coverage engine is chain-probe
         machinery."""
         from repro.core import boundedness
@@ -441,20 +446,6 @@ class TestProbeWarmStart:
                 for c in deep:
                     coverage.covered_by_any(c, shallow, False)
             assert coverage.warm_hits > coverage.cold_solves
-
-    def test_probe_answers_flow_through_session_hom_cache(self):
-        """A repeated probe on the same session is answered from the
-        hom-cache (the coverage engine reads and writes the find-cache
-        under the decomp backend key)."""
-        cq = OneCQ.from_structure(zoo.q5())
-        with Session(EngineConfig(probe_warmstart=True, workers=1)) as s:
-            first = probe_boundedness(cq, 3, session=s)
-            hits_before = s.hom_cache_info().hits
-            second = probe_boundedness(cq, 3, session=s)
-            assert (first.verdict, first.depth) == (
-                second.verdict, second.depth,
-            )
-            assert s.hom_cache_info().hits > hits_before
 
 
 class TestAutoRouting:

@@ -2,24 +2,21 @@
 
 Covers the satellite requirements of the bitset-engine PR: backend
 cross-validation on random instances, node interning, structure
-fingerprints, hom-cache behaviour, and the batch APIs.
+fingerprints, seeded/filtered/counted answers, and the batch APIs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import homengine
 from repro.core.homengine import (
     BACKENDS,
-    clear_hom_cache,
     _count_homomorphisms,
     covers_any,
     evaluate_batch,
     find_homomorphism,
     get_default_backend,
     has_homomorphism,
-    hom_cache_info,
     iter_homomorphisms,
     set_default_backend,
 )
@@ -159,8 +156,8 @@ class TestCrossValidation:
     def test_property_existence_agrees(self, seed):
         q = random_instance(4, 6, seed)
         d = random_instance(6, 10, seed + 1)
-        naive = has_homomorphism(q, d, backend="naive", use_cache=False)
-        bitset = has_homomorphism(q, d, backend="bitset", use_cache=False)
+        naive = has_homomorphism(q, d, backend="naive")
+        bitset = has_homomorphism(q, d, backend="bitset")
         assert naive == bitset
 
     def test_every_bitset_hom_verifies(self):
@@ -255,41 +252,15 @@ class TestFingerprint:
 
 
 # ----------------------------------------------------------------------
-# Hom-cache
+# Seeds, filters, backends and counts
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture
-def fresh_cache():
-    info = hom_cache_info()
-    clear_hom_cache()
-    homengine.configure_cache(enabled=True)
-    yield
-    clear_hom_cache()
-    homengine.configure_cache(enabled=info.enabled, maxsize=info.maxsize)
-
-
 class TestHomCache:
-    def test_second_lookup_hits(self, fresh_cache):
-        q = path_structure(["T", ""])
-        d = path_structure(["T", "", ""])
-        before = hom_cache_info()
-        assert find_homomorphism(q, d) is not None
-        assert find_homomorphism(q, d) is not None
-        after = hom_cache_info()
-        assert after.hits >= before.hits + 1
+    """Seeds, node filters and explicit backends each get their own
+    answer for the same source/target pair."""
 
-    def test_hits_across_equal_instances(self, fresh_cache):
-        q = path_structure(["T", ""])
-        d1 = path_structure(["T", "", ""])
-        d2 = path_structure(["T", "", ""])  # distinct but equal instance
-        assert d1 is not d2 and d1.fingerprint == d2.fingerprint
-        find_homomorphism(q, d1)
-        hits_before = hom_cache_info().hits
-        find_homomorphism(q, d2)
-        assert hom_cache_info().hits == hits_before + 1
-
-    def test_distinct_seeds_not_conflated(self, fresh_cache):
+    def test_distinct_seeds_not_conflated(self):
         q = path_structure(["", ""], prefix="q")
         d = path_structure(["", "", ""], prefix="d")
         hom0 = find_homomorphism(q, d, seed={"q0": "d0"})
@@ -298,55 +269,21 @@ class TestHomCache:
         assert hom1["q0"] == "d1"
         assert find_homomorphism(q, d, seed={"q0": "d2"}) is None
 
-    def test_node_filter_bypasses_cache(self, fresh_cache):
+    def test_node_filter_bypasses_cache(self):
         q = path_structure([""], prefix="q")
         d = path_structure(["", ""], prefix="d")
-        info_before = hom_cache_info()
-        find_homomorphism(q, d, node_filter=lambda x, v: v == "d1")
-        info_after = hom_cache_info()
-        assert info_after.size == info_before.size
-        # and the filtered answer was not polluted by a cached unfiltered one
+        assert find_homomorphism(q, d) is not None
+        # The filtered answer is not the unfiltered one asked first.
         hom = find_homomorphism(q, d, node_filter=lambda x, v: v == "d1")
         assert hom == {"q0": "d1"}
 
-    def test_negative_answers_cached(self, fresh_cache):
-        q = path_structure(["T"])
-        d = path_structure(["F"])
-        assert not has_homomorphism(q, d)
-        hits_before = hom_cache_info().hits
-        assert not has_homomorphism(q, d)
-        assert hom_cache_info().hits == hits_before + 1
-
-    def test_backend_override_not_served_cross_backend(self, fresh_cache):
-        # A cached bitset answer must not satisfy an explicit naive
-        # cross-validation call (naive is the correctness oracle).
+    def test_backend_override_not_served_cross_backend(self):
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
         assert has_homomorphism(q, d, backend="bitset")
-        hits_before = hom_cache_info().hits
         assert has_homomorphism(q, d, backend="naive")
-        info = hom_cache_info()
-        assert info.hits == hits_before  # miss: separate key per backend
-        assert info.size >= 2
-
-    def test_cache_disabled(self, fresh_cache):
-        homengine.configure_cache(enabled=False)
-        q = path_structure(["T"])
-        d = path_structure(["T"])
-        has_homomorphism(q, d)
-        has_homomorphism(q, d)
-        assert hom_cache_info().size == 0
-
-    def test_lru_eviction(self, fresh_cache):
-        homengine.configure_cache(maxsize=4)
-        q = path_structure(["T"])
-        targets = [
-            random_instance(4, 5, seed=s, label_weights={"T": 1})
-            for s in range(10)
-        ]
-        for d in targets:
-            has_homomorphism(q, d)
-        assert hom_cache_info().size <= 4
+        assert not has_homomorphism(d, q, backend="bitset")
+        assert not has_homomorphism(d, q, backend="naive")
 
 
 class TestCountCache:
@@ -356,66 +293,40 @@ class TestCountCache:
             d = random_instance(6, 10, seed + 40)
             expected = len(list(iter_homomorphisms(q, d)))
             for backend in BACKENDS:
-                assert (
-                    _count_homomorphisms(
-                        q, d, backend=backend, use_cache=False
-                    )
-                    == expected
-                )
+                assert _count_homomorphisms(q, d, backend=backend) == expected
 
-    def test_second_count_hits_cache(self, fresh_cache):
-        q = path_structure(["T", ""])
-        d = path_structure(["T", "", ""])
-        first = _count_homomorphisms(q, d)
-        hits_before = hom_cache_info().hits
-        assert _count_homomorphisms(q, d) == first
-        assert hom_cache_info().hits == hits_before + 1
-
-    def test_count_seeds_find_cache(self, fresh_cache):
-        # Counting enumerates every hom, so the find/has entry for the
-        # same arguments is filled with the first witness for free.
-        q = path_structure(["T", ""])
-        d = path_structure(["T", "", ""])
-        assert _count_homomorphisms(q, d) > 0
-        hits_before = hom_cache_info().hits
-        assert find_homomorphism(q, d) is not None
-        assert hom_cache_info().hits == hits_before + 1
-
-    def test_zero_count_seeds_negative_answer(self, fresh_cache):
+    def test_zero_count_seeds_negative_answer(self):
         q = path_structure(["T"])
         d = path_structure(["F"])
         assert _count_homomorphisms(q, d) == 0
-        hits_before = hom_cache_info().hits
         assert not has_homomorphism(q, d)
-        assert hom_cache_info().hits == hits_before + 1
+        q2 = path_structure(["T", ""])
+        d2 = path_structure(["T", "", ""])
+        assert _count_homomorphisms(q2, d2) > 0
+        assert find_homomorphism(q2, d2) is not None
 
-    def test_count_and_find_not_conflated(self, fresh_cache):
-        # A cached witness must not be returned as a count, nor a count
-        # as a witness: the keys are tagged apart.
+    def test_count_and_find_not_conflated(self):
         q = path_structure(["", ""], prefix="q")
         d = path_structure(["", "", ""], prefix="d")
         assert find_homomorphism(q, d) is not None
-        assert _count_homomorphisms(q, d) == 2  # a fresh enumeration
+        assert _count_homomorphisms(q, d) == 2
         assert find_homomorphism(q, d) is not None
 
-    def test_count_with_node_filter_bypasses_cache(self, fresh_cache):
+    def test_count_with_node_filter_bypasses_cache(self):
         q = path_structure([""], prefix="q")
         d = path_structure(["", ""], prefix="d")
-        size_before = hom_cache_info().size
+        assert _count_homomorphisms(q, d) == 2
         assert (
             _count_homomorphisms(q, d, node_filter=lambda x, v: v == "d1")
             == 1
         )
-        assert hom_cache_info().size == size_before
 
-    def test_count_per_backend_keys(self, fresh_cache):
+    def test_count_per_backend_keys(self):
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
         assert _count_homomorphisms(q, d, backend="bitset") == (
             _count_homomorphisms(q, d, backend="naive")
         )
-        # Two backends, two count entries (plus the seeded find entries).
-        assert hom_cache_info().size >= 4
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +402,7 @@ class TestIsCoreAgainstOracle:
     def _oracle_is_core(self, s):
         return not any(
             has_homomorphism(
-                s, s.without_nodes([n]), backend="naive", use_cache=False
+                s, s.without_nodes([n]), backend="naive"
             )
             for n in s.nodes
         )

@@ -134,12 +134,12 @@ class TestThreeWayCrossValidation:
         q = random_instance(4, 6, seed)
         d = random_instance(6, 10, seed + 1)
         verdicts = {
-            b: has_homomorphism(q, d, backend=b, use_cache=False)
+            b: has_homomorphism(q, d, backend=b)
             for b in BACKENDS
         }
         assert len(set(verdicts.values())) == 1
         counts = {
-            b: _count_homomorphisms(q, d, backend=b, use_cache=False)
+            b: _count_homomorphisms(q, d, backend=b)
             for b in BACKENDS
         }
         assert len(set(counts.values())) == 1

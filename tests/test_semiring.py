@@ -12,8 +12,7 @@ Three layers of confidence:
   matrix forest matvecs) is cross-validated against the naive weighted
   enumeration oracle;
 * the typed surfaces (``Session.evaluate``, ``evaluate_batch`` with a
-  semiring, the semiring-tagged hom-cache, the pool wire codec) are
-  exercised end to end.
+  semiring, the pool wire codec) are exercised end to end.
 """
 
 import math
@@ -40,7 +39,6 @@ from repro.core.semiring import (
     WHY,
     Evaluation,
     Semiring,
-    freeze_weights,
     hom_weight,
     register_semiring,
     registered_semirings,
@@ -146,12 +144,6 @@ class TestSemiringAxioms:
         assert WHY.decode(WHY.encode(value)) == value
         assert PROB.decode(PROB.encode(0.25)) == 0.25
 
-    def test_freeze_weights(self):
-        w = {BinaryFact("R", "a", "b"): 0.5, UnaryFact("A", "a"): 0.25}
-        assert freeze_weights(w) == freeze_weights(dict(reversed(w.items())))
-        assert freeze_weights(None) is None
-        assert freeze_weights({BinaryFact("R", "a", "b"): [1, 2]}) is None
-
 
 # ----------------------------------------------------------------------
 # COUNT vs the legacy exact kernel, all four backends
@@ -165,10 +157,10 @@ class TestCountCrossValidation:
         for q in (zoo.q1(), zoo.q2(), zoo.q5()):
             for d in instances:
                 want = _count_homomorphisms(
-                    q, d, backend="naive", use_cache=False, session=s
+                    q, d, backend="naive", session=s
                 )
                 for b in BACKENDS:
-                    ev = s.evaluate(q, d, "count", backend=b, use_cache=False)
+                    ev = s.evaluate(q, d, "count", backend=b)
                     assert ev.value == want, (b, want, ev.value)
                     assert ev.semiring == "count" and ev.backend == b
                     assert ev.answer == (want > 0)
@@ -187,10 +179,10 @@ class TestCountCrossValidation:
             )
             cases += 1
             want = _count_homomorphisms(
-                q, d, backend="naive", use_cache=False, session=s
+                q, d, backend="naive", session=s
             )
             for b in BACKENDS:
-                got = s.evaluate(q, d, "count", backend=b, use_cache=False)
+                got = s.evaluate(q, d, "count", backend=b)
                 assert got.value == want
 
     def test_session_count_method_is_thin_count(self):
@@ -245,8 +237,7 @@ class TestWeightedCrossValidation:
             want = _oracle(q, d, sr, weights, s)
             for b in ("bitset", "matrix", "decomp"):
                 ev = semiring_evaluate(
-                    q, d, sr, weights=weights, backend=b,
-                    use_cache=False, session=s,
+                    q, d, sr, weights=weights, backend=b, session=s,
                 )
                 if isinstance(want, float) and not math.isinf(want):
                     assert ev.value == pytest.approx(want, abs=1e-9), b
@@ -264,7 +255,7 @@ class TestWeightedCrossValidation:
         )
         for b in BACKENDS:
             ev = semiring_evaluate(
-                q, d, "why", backend=b, use_cache=False, session=s
+                q, d, "why", backend=b, session=s
             )
             assert ev.value == frozenset(
                 {
@@ -287,8 +278,7 @@ class TestWeightedCrossValidation:
             BinaryFact("R", "a", "c"): 2.0,
         }
         ev = semiring_evaluate(
-            q, d, "minplus", weights=weights, backend="bitset",
-            use_cache=False, session=s,
+            q, d, "minplus", weights=weights, backend="bitset", session=s,
         )
         assert ev.value == 2.0
         assert ev.witness is not None and ev.witness["y"] == "c"
@@ -310,8 +300,7 @@ class TestWeightedCrossValidation:
         }
         for b in BACKENDS:
             ev = semiring_evaluate(
-                q, d, "prob", weights=weights, backend=b,
-                use_cache=False, session=s,
+                q, d, "prob", weights=weights, backend=b, session=s,
             )
             assert ev.value == pytest.approx(0.75), b
 
@@ -342,13 +331,11 @@ class TestEvaluateSurface:
         first = semiring_evaluate(
             q, d, "prob", weights=w, backend="decomp", session=s
         )
-        before = s.hom_cache_info().hits
         again = semiring_evaluate(
             q, d, "prob", weights=w, backend="decomp", session=s
         )
         assert again.value == first.value
-        assert s.hom_cache_info().hits > before
-        # A different weighting must not be answered from that entry.
+        # A different weighting gives a different value.
         w2 = {f: 0.25 for f in d.binary_facts}
         other = semiring_evaluate(
             q, d, "prob", weights=w2, backend="decomp", session=s
@@ -378,7 +365,7 @@ class TestEvaluateSurface:
         )
         serial = [
             semiring_evaluate(
-                q, d, "prob", weights=w, use_cache=False, session=s
+                q, d, "prob", weights=w, session=s
             )
             for d in instances
         ]
@@ -393,7 +380,7 @@ class TestEvaluateSurface:
         instances = instance_family(4, 6, 10, seed=9)
         par = parallel_semiring_batch(q, instances, "why", session=s)
         serial = [
-            semiring_evaluate(q, d, "why", use_cache=False, session=s)
+            semiring_evaluate(q, d, "why", session=s)
             for d in instances
         ]
         assert [e.value for e in par] == [e.value for e in serial]

@@ -68,7 +68,6 @@ class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
         assert config.backend == "bitset"
-        assert config.hom_cache and config.hom_cache_size == 8192
         assert config.workers is None and config.effective_workers() >= 1
 
     def test_explicit_zero_workers_disables_parallelism(self, monkeypatch):
@@ -83,13 +82,13 @@ class TestEngineConfig:
 
     def test_from_env_reads_at_call_time(self, monkeypatch):
         monkeypatch.setenv("REPRO_HOM_BACKEND", "naive")
-        monkeypatch.setenv("REPRO_HOM_CACHE", "0")
-        monkeypatch.setenv("REPRO_HOM_CACHE_SIZE", "17")
+        monkeypatch.setenv("REPRO_PROBE_WARMSTART", "0")
+        monkeypatch.setenv("REPRO_HOM_PARALLEL_MIN", "17")
         monkeypatch.setenv("REPRO_HOM_WORKERS", "3")
         config = EngineConfig.from_env()
         assert config.backend == "naive"
-        assert config.hom_cache is False
-        assert config.hom_cache_size == 17
+        assert config.probe_warmstart is False
+        assert config.parallel_min == 17
         assert config.workers == 3
         monkeypatch.setenv("REPRO_HOM_BACKEND", "matrix")
         assert EngineConfig.from_env().backend == "matrix"
@@ -109,8 +108,8 @@ class TestEngineConfig:
             EngineConfig.from_env()
 
     def test_malformed_int_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOM_CACHE_SIZE", "not-a-number")
-        assert EngineConfig.from_env().hom_cache_size == 8192
+        monkeypatch.setenv("REPRO_HOM_PARALLEL_MIN", "not-a-number")
+        assert EngineConfig.from_env().parallel_min == 24
 
     def test_frozen_and_replace(self):
         config = EngineConfig()
@@ -124,7 +123,7 @@ class TestEngineConfig:
 
     def test_describe_lists_every_knob(self):
         text = EngineConfig().describe()
-        for field in ("backend", "workers", "hom_cache_size",
+        for field in ("backend", "workers", "parallel_min",
                       "factory_pool_size", "effective_workers"):
             assert field in text
 
@@ -152,35 +151,20 @@ class TestEngineConfig:
 
 
 class TestSessionIsolation:
-    def test_isolated_backends_and_caches(self):
-        """Two live sessions with different backends and cache sizes
-        answer correctly without sharing any state."""
+    def test_isolated_backends_and_caches(self, kernel_calls):
+        """Two live sessions with different backends answer correctly
+        without sharing any state: each call runs its own session's
+        backend."""
         q = path_structure(["T", "T", "F"])
         d = path_structure(["T", "T", "T", "F"])
-        with Session(EngineConfig(backend="naive", hom_cache_size=7)) as a, \
+        with Session(EngineConfig(backend="naive")) as a, \
                 Session(EngineConfig(backend="bitset")) as b:
             assert a.resolve_backend() == "naive"
             assert b.resolve_backend() == "bitset"
             assert a.has_homomorphism(q, d) is True
+            assert (kernel_calls["naive"], kernel_calls["bitset"]) == (1, 0)
             assert b.has_homomorphism(q, d) is True
-            # Each session answered from its own engine: both missed
-            # once, and the second ask hits only its own cache.
-            assert a.hom_cache_info().misses == 1
-            assert b.hom_cache_info().misses == 1
-            assert a.has_homomorphism(q, d) is True
-            assert a.hom_cache_info().hits == 1
-            assert b.hom_cache_info().hits == 0
-            assert a.hom_cache_info().maxsize == 7
-            assert b.hom_cache_info().maxsize == 8192
-
-    def test_isolated_cache_toggle(self):
-        q = path_structure(["T"])
-        with Session(EngineConfig(hom_cache=False)) as off, \
-                Session(EngineConfig()) as on:
-            off.has_homomorphism(q, q)
-            on.has_homomorphism(q, q)
-            assert off.hom_cache_info().size == 0
-            assert on.hom_cache_info().size == 1
+            assert (kernel_calls["naive"], kernel_calls["bitset"]) == (1, 1)
 
     def test_isolated_cactus_pools(self):
         cq = OneCQ.from_structure(zoo.q3())
@@ -197,7 +181,7 @@ class TestSessionIsolation:
         q2, d2 = zoo.q2(), zoo.d2()
         q5 = OneCQ.from_structure(zoo.q5())
         family = instance_family(count=6, n=12, edge_count=24, seed=3)
-        with Session(EngineConfig(backend="naive", hom_cache=False)) as a, \
+        with Session(EngineConfig(backend="naive")) as a, \
                 Session(EngineConfig(backend="bitset")) as b:
             assert a.certain_answer(q2, d2) == b.certain_answer(q2, d2) is True
             da = a.decide_boundedness(zoo.q5())
@@ -224,12 +208,12 @@ class TestSessionIsolation:
                 assert s.evaluate_dsirup(q, d, strategy).certain is True
 
     def test_close_clears_state(self):
-        q = path_structure(["T"])
+        cq = OneCQ.from_structure(zoo.q3())
         s = Session(EngineConfig())
-        s.has_homomorphism(q, q)
-        assert s.hom_cache_info().size == 1
+        factory = s.cactus_factory(cq)
+        assert s.cactus_factory(cq) is factory
         s.close()
-        assert s.hom_cache_info().size == 0
+        assert s.cactus_factory(cq) is not factory
 
 
 # ----------------------------------------------------------------------
@@ -238,20 +222,16 @@ class TestSessionIsolation:
 
 
 class TestPrecedence:
-    def test_per_call_beats_config(self):
+    def test_per_call_beats_config(self, kernel_calls):
         with Session(EngineConfig(backend="bitset")) as s:
             assert s.resolve_backend("naive") == "naive"
             q = path_structure(["T", ""])
             d = path_structure(["T", "", ""])
-            # A per-call backend actually reaches the engine: the cache
-            # key records the resolved backend.
+            # A per-call backend actually reaches the engine.
             assert s.has_homomorphism(q, d, backend="naive")
-            assert s.hom_cache_info().misses == 1
-            assert s.has_homomorphism(q, d, backend="naive")
-            assert s.hom_cache_info().hits == 1
-            # Different resolved backend, different cache entry.
+            assert (kernel_calls["naive"], kernel_calls["bitset"]) == (1, 0)
             assert s.has_homomorphism(q, d)
-            assert s.hom_cache_info().misses == 2
+            assert (kernel_calls["naive"], kernel_calls["bitset"]) == (1, 1)
 
     def test_default_session_honours_env_on_reset(self, monkeypatch):
         monkeypatch.setenv("REPRO_HOM_BACKEND", "naive")
@@ -342,8 +322,7 @@ class TestStreamingScreen:
         family = instance_family(count=10, n=12, edge_count=24, seed=7)
         with Session(EngineConfig(workers=1)) as s:
             queries = s.ucq_rewriting(q5, 1)
-        # A fresh session per form: a shared one would let the second
-        # form answer from the first form's hom-cache.
+        # A fresh session per form, so both start from the same state.
         config = EngineConfig(workers=1, hom_fuel=hom_fuel)
         with Session(config) as s:
             blocking = s.screen(queries, family)
@@ -413,27 +392,26 @@ class TestWorkerWireCache:
         assert len(runtime._WIRE_CACHE) == 3
 
     def test_worker_opts_carry_session_backend_and_cache(self):
-        """Sharded tasks ship the calling session's resolved backend,
-        cache veto *and full config* — workers must not silently fall
-        back to their own env-built defaults (the naive-oracle pattern
-        of quickstart section 7 depends on this)."""
+        """Sharded tasks ship the calling session's resolved backend
+        *and full config* — workers must not silently fall back to
+        their own env-built defaults (the naive-oracle pattern of
+        quickstart section 7 depends on this)."""
         from repro.core import runtime
 
         with Session(
-            EngineConfig(backend="naive", hom_cache=False)
+            EngineConfig(backend="naive", worker_cache_size=3)
         ) as oracle:
-            backend, veto, config = runtime._worker_opts(oracle, None)
-            assert (backend, veto) == ("naive", False)
+            backend, config = runtime._worker_opts(oracle, None)
+            assert backend == "naive"
             # The full resolved config ships, with nested parallelism
             # stripped (a worker must never spawn its own pool).
             assert config == oracle.config.replace(workers=1)
+            assert config.worker_cache_size == 3
             # A per-call backend still wins over the session default.
-            assert runtime._worker_opts(oracle, "matrix")[:2] == (
-                "matrix", False
-            )
+            assert runtime._worker_opts(oracle, "matrix")[0] == "matrix"
         with Session(EngineConfig(backend="auto")) as adaptive:
             # "auto" ships as-is: workers keep resolving it per target.
-            assert runtime._worker_opts(adaptive, None)[:2] == ("auto", None)
+            assert runtime._worker_opts(adaptive, None)[0] == "auto"
 
     def test_worker_session_honours_shipped_config(self):
         """A worker task carrying an EngineConfig runs in a session
@@ -443,24 +421,24 @@ class TestWorkerWireCache:
         from repro.core import runtime
 
         config = EngineConfig(
-            backend="naive", hom_cache_size=7, worker_cache_size=3
+            backend="naive", factory_pool_size=7, worker_cache_size=3
         )
         shipped = config.replace(workers=1)
         session = runtime._worker_session(shipped)
-        assert session.hom.cache_maxsize == 7
+        assert session.cactus.factory_pool_size == 7
         assert session.hom.default_backend == "naive"
         assert session.pool.workers == 1
         # Same config -> same worker session (and its warm caches).
         assert runtime._worker_session(shipped) is session
         # A task from a differently-configured caller swaps it out.
-        other = runtime._worker_session(shipped.replace(hom_cache_size=9))
+        other = runtime._worker_session(shipped.replace(factory_pool_size=9))
         assert other is not session
-        assert other.hom.cache_maxsize == 9
+        assert other.cactus.factory_pool_size == 9
         # In-process worker call honours the shipped config end to end.
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
         answers = runtime._worker_screen_chunk(
-            [to_wire(q)], [to_wire(d)], None, 0, None, shipped
+            [to_wire(q)], [to_wire(d)], None, 0, shipped
         )
         assert answers == [[True]]
         assert runtime._WORKER_SESSION[0] == shipped
@@ -496,19 +474,18 @@ class TestDefaultSessionShims:
         assert default_session().hom.default_backend == "naive"
         assert repro.get_default_backend() == "naive"
 
-    def test_configure_cache_routes_to_default_session(self, fresh_default):
-        homengine.configure_cache(enabled=False, maxsize=5)
-        info = homengine.hom_cache_info()
-        assert (info.enabled, info.maxsize) == (False, 5)
-        assert fresh_default.hom_cache_info().maxsize == 5
-
-    def test_free_functions_use_default_session_cache(self, fresh_default):
+    def test_free_functions_use_default_session_cache(
+        self, fresh_default, kernel_calls
+    ):
+        """The free functions run in the default session: they search
+        with its backend."""
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
         assert repro.has_homomorphism(q, d) is True
-        assert fresh_default.hom_cache_info().misses == 1
+        assert (kernel_calls["naive"], kernel_calls["bitset"]) == (0, 1)
+        fresh_default.hom.set_default_backend("naive")
         assert repro.has_homomorphism(q, d) is True
-        assert fresh_default.hom_cache_info().hits == 1
+        assert (kernel_calls["naive"], kernel_calls["bitset"]) == (1, 1)
 
     def test_screen_zoo_accepts_session(self):
         family = instance_family(count=3, n=10, edge_count=15, seed=12)
@@ -551,13 +528,12 @@ class TestCLIConfig:
 
     def test_flags_override_env(self):
         result = self._run(
-            "--backend", "naive", "--workers", "2", "--no-cache", "config",
+            "--backend", "naive", "--workers", "2", "config",
             env={"REPRO_HOM_BACKEND": "matrix"},
         )
         assert result.returncode == 0
         assert "backend='naive'" in result.stdout
         assert "workers=2" in result.stdout
-        assert "hom_cache=False" in result.stdout
 
     def test_env_reaches_config_without_flags(self):
         result = self._run(
