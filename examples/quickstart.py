@@ -117,11 +117,8 @@ def main() -> None:
     #
     #    Migration from the free functions is mechanical:
     #        certain_answer(q, d)        -> session.certain_answer(q, d)
-    #        dsirup.evaluate(q, d, s)    -> session.evaluate_dsirup(q, d, s)
-    #          (session.evaluate() now takes a *semiring* — see sec. 10;
-    #           the old strategy form warns and delegates)
-    #        count_homomorphisms         -> session.count_homomorphisms
-    #          (now a thin wrapper over the COUNT semiring instance)
+    #        evaluate_dsirup(q, d, s)    -> session.evaluate_dsirup(q, d, s)
+    #          (session.evaluate() takes a *semiring* — see sec. 10)
     #        decide_boundedness(q)       -> session.decide_boundedness(q)
     #        probe_boundedness(cq, d)    -> session.probe_boundedness(cq, d)
     #        ucq_certain_answers(u, f)   -> session.ucq_certain_answers(u, f)
@@ -314,7 +311,7 @@ def main() -> None:
         print(f"why-provenance of the R-edge query: "
               f"{len(ev.value)} singleton witness sets (one per edge)")
 
-        # count_homomorphisms is now literally the COUNT instance:
+        # Session.count_homomorphisms is the COUNT instance:
         n_paths = s.count_homomorphisms(two_hop, diamond)
         assert n_paths == s.evaluate(two_hop, diamond, "count").value
         print(f"2-hop paths through the diamond: {n_paths}")

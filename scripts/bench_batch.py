@@ -39,17 +39,11 @@ noise of the serial path.
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 import os
-import random
 import sys
-import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchlib
+from benchlib import best_time, criterion, geomean, unlabelled_ditree
 
 # Measure the rebuild, not the worker-side structure cache: every
 # forked worker rebuilds its chunk from the wire in every round.
@@ -72,7 +66,7 @@ from repro.core.runtime import (  # noqa: E402
     pool_info,
     shutdown_pool,
 )
-from repro.core.structure import StructureBuilder, path_structure  # noqa: E402
+from repro.core.structure import path_structure  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
     block_dag_instance,
     instance_family,
@@ -87,16 +81,6 @@ SHARD_WORKERS = 4
 MAX_FALLBACK_RATIO = 1.35
 
 TARGET_LABELS = {"T": 1, "F": 1, "": 20, "A": 2, "FT": 0}
-
-
-def unlabelled_ditree(n: int, seed: int):
-    rng = random.Random(seed)
-    b = StructureBuilder()
-    for i in range(n):
-        b.add_node(i)
-    for i in range(1, n):
-        b.add_edge(rng.randrange(i), i)
-    return b.build()
 
 
 # Propagation-heavy queries: domains start near-full, so AC-3 and
@@ -119,25 +103,6 @@ LARGE_TARGETS = [
     ("n300_e8n", 300, 2400),
     ("n500_e6n", 500, 3000),
 ]
-
-
-def best_time(fn, rounds: int, target_s: float = 0.1) -> float:
-    """Minimum per-call wall time over ``rounds`` measurements."""
-    start = time.perf_counter()
-    fn()
-    once = time.perf_counter() - start
-    iters = max(1, int(target_s / max(once, 1e-9)))
-    best = once
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, (time.perf_counter() - start) / iters)
-    return best
-
-
-def geomean(values: list[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def bench_backend_duel(rounds: int) -> dict:
@@ -307,25 +272,7 @@ def bench_sharding(rounds: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_batch.json",
-        help="where to write the results",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=5,
-        help="timing rounds per measurement (minimum is reported)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every enforced criterion holds",
-    )
-    args = parser.parse_args()
+    args = benchlib.parser(__doc__, "BENCH_batch.json", rounds=5).parse_args()
 
     cpus = os.cpu_count() or 1
     matrix_ok = matrix_backend_available()
@@ -333,36 +280,39 @@ def main() -> int:
     duel = bench_backend_duel(args.rounds)
     shard = bench_sharding(args.rounds)
 
+    print(
+        f"  matrix geomean speedup {duel['geomean_speedup_gated']:.2f}x "
+        f"gated (min {duel['min_speedup_gated']:.2f}x, "
+        f"info {duel['geomean_speedup_info']:.2f}x)"
+    )
+    print(
+        f"  sharded geomean speedup {shard['geomean_speedup']:.2f}x at "
+        f"{SHARD_WORKERS} workers ({cpus} CPUs)"
+    )
+    shard_ok = cpus >= SHARD_WORKERS and shard["pool_available"]
     criteria = {
-        "matrix_geomean_speedup_ge_2x": {
-            "enforced": matrix_ok,
-            "skip_reason": None if matrix_ok else "numpy not installed "
+        "matrix_geomean_speedup_ge_2x": criterion(
+            duel["geomean_speedup_gated"],
+            duel["geomean_speedup_gated"] >= MIN_MATRIX_GEOMEAN,
+            None if matrix_ok else "numpy not installed "
             "(matrix backend runs the bitset fallback)",
-            "value": duel["geomean_speedup_gated"],
-            "pass": duel["geomean_speedup_gated"] >= MIN_MATRIX_GEOMEAN,
-        },
-        "sharded_geomean_speedup_ge_2x_at_4_workers": {
-            "enforced": cpus >= SHARD_WORKERS and shard["pool_available"],
-            "skip_reason": None
-            if cpus >= SHARD_WORKERS and shard["pool_available"]
+        ),
+        "sharded_geomean_speedup_ge_2x_at_4_workers": criterion(
+            shard["geomean_speedup"],
+            shard["geomean_speedup"] >= MIN_SHARDED_GEOMEAN,
+            None if shard_ok
             else f"needs >= {SHARD_WORKERS} CPUs and process support "
             f"(have {cpus} CPUs, pool_available="
             f"{shard['pool_available']})",
-            "value": shard["geomean_speedup"],
-            "pass": shard["geomean_speedup"] >= MIN_SHARDED_GEOMEAN,
-        },
-        "parallel_agrees_with_serial": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": shard["parallel_agrees_with_serial"],
-            "pass": shard["parallel_agrees_with_serial"],
-        },
-        "small_batch_fallback_no_regression": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": shard["small_batch"]["ratio"],
-            "pass": shard["small_batch"]["ratio"] <= MAX_FALLBACK_RATIO,
-        },
+        ),
+        "parallel_agrees_with_serial": criterion(
+            shard["parallel_agrees_with_serial"],
+            shard["parallel_agrees_with_serial"],
+        ),
+        "small_batch_fallback_no_regression": criterion(
+            shard["small_batch"]["ratio"],
+            shard["small_batch"]["ratio"] <= MAX_FALLBACK_RATIO,
+        ),
     }
 
     report = {
@@ -380,29 +330,7 @@ def main() -> int:
         "sharding": shard,
         "criteria": criteria,
     }
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"[bench_batch] wrote {args.output}")
-    print(
-        f"  matrix geomean speedup {duel['geomean_speedup_gated']:.2f}x "
-        f"gated (min {duel['min_speedup_gated']:.2f}x, "
-        f"info {duel['geomean_speedup_info']:.2f}x)"
-    )
-    print(
-        f"  sharded geomean speedup {shard['geomean_speedup']:.2f}x at "
-        f"{SHARD_WORKERS} workers ({cpus} CPUs)"
-    )
-    failures = 0
-    for name, crit in criteria.items():
-        if not crit["enforced"]:
-            print(f"  criterion {name}: SKIPPED ({crit['skip_reason']})")
-        elif crit["pass"]:
-            print(f"  criterion {name}: PASS")
-        else:
-            print(f"  criterion {name}: FAIL (value {crit['value']})")
-            failures += 1
-    if args.check and failures:
-        return 1
-    return 0
+    return benchlib.finish("bench_batch", report, args)
 
 
 if __name__ == "__main__":

@@ -26,25 +26,19 @@ baseline is at least 2x across the enumeration workloads.
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 import sys
-import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro import zoo  # noqa: E402
-from repro.core import OneCQ, StructureBuilder, path_structure  # noqa: E402
-from repro.core.cactus import (  # noqa: E402
+import benchlib
+from benchlib import best_time, criterion, geomean
+from repro import zoo
+from repro.core import OneCQ, StructureBuilder, path_structure
+from repro.core.cactus import (
     CactusFactory,
     CactusState,
     build_cactus_from_scratch,
     iter_shapes,
 )
-from repro.core.config import EngineConfig  # noqa: E402
+from repro.core.config import EngineConfig
 
 MIN_GEOMEAN_SPEEDUP = 2.0
 
@@ -123,50 +117,8 @@ def run_warm(factory: CactusFactory, shapes: list) -> None:
         factory.cactus(shape)
 
 
-def best_time(fn, rounds: int, target_s: float = 0.1) -> float:
-    """Minimum per-call wall time over ``rounds`` measurements.
-
-    Each measurement repeats ``fn`` enough times to fill roughly
-    ``target_s`` of wall clock, so millisecond-scale workloads are not
-    at the mercy of scheduler noise; the minimum is reported.
-    """
-    start = time.perf_counter()
-    fn()
-    once = time.perf_counter() - start
-    iters = max(1, int(target_s / max(once, 1e-9)))
-    best = once
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, (time.perf_counter() - start) / iters)
-    return best
-
-
-def geomean(values: list[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_cactus.json",
-        help="where to write the results",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=5,
-        help="timing rounds per workload (minimum is reported)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless the acceptance criterion holds",
-    )
-    args = parser.parse_args()
+    args = benchlib.parser(__doc__, "BENCH_cactus.json", rounds=5).parse_args()
 
     workloads = {}
     speedups = []
@@ -211,9 +163,15 @@ def main() -> int:
             [w["speedup_warm"] for w in workloads.values()]
         ),
     }
+    print(
+        f"  geomean cold speedup {summary['geomean_speedup_cold']:.2f}x "
+        f"(min {summary['min_speedup_cold']:.2f}x, warm "
+        f"{summary['geomean_speedup_warm']:.1f}x)"
+    )
     criteria = {
-        "construction_geomean_speedup_ge_2x": (
-            summary["geomean_speedup_cold"] >= MIN_GEOMEAN_SPEEDUP
+        "construction_geomean_speedup_ge_2x": criterion(
+            summary["geomean_speedup_cold"],
+            summary["geomean_speedup_cold"] >= MIN_GEOMEAN_SPEEDUP,
         ),
     }
     report = {
@@ -227,18 +185,7 @@ def main() -> int:
         "criteria": criteria,
         "workloads": workloads,
     }
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"[bench_cactus] wrote {args.output}")
-    print(
-        f"  geomean cold speedup {summary['geomean_speedup_cold']:.2f}x "
-        f"(min {summary['min_speedup_cold']:.2f}x, warm "
-        f"{summary['geomean_speedup_warm']:.1f}x)"
-    )
-    for name, ok in criteria.items():
-        print(f"  criterion {name}: {'PASS' if ok else 'FAIL'}")
-    if args.check and not all(criteria.values()):
-        return 1
-    return 0
+    return benchlib.finish("bench_cactus", report, args)
 
 
 if __name__ == "__main__":

@@ -45,20 +45,16 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import os
 import signal
 import sqlite3
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchlib
+from benchlib import criterion, digest, start_server, stop_server
 
 # The chaos workload: shaped so a serial screen takes seconds (plenty
 # of shards to kill / cancel / checkpoint mid-job) without dominating
@@ -79,25 +75,6 @@ DRAIN_DEADLINE_S = 60.0
 TERMINAL = ("done", "failed", "cancelled")
 
 
-def _digest(payload: object) -> str:
-    return hashlib.blake2b(
-        repr(payload).encode(), digest_size=16
-    ).hexdigest()
-
-
-def _queries(count: int = QUERY_COUNT, size: int = QUERY_SIZE):
-    from repro.workloads.generators import random_ditree_cq
-
-    queries = []
-    seed = 0
-    while len(queries) < count and seed < 10_000:
-        q = random_ditree_cq(size, seed)
-        if q is not None:
-            queries.append(q)
-        seed += 1
-    return queries
-
-
 def _screen_payload(
     count: int = FAMILY_COUNT,
     seed: int = FAMILY_SEED,
@@ -106,18 +83,7 @@ def _screen_payload(
     queries: int = QUERY_COUNT,
     size: int = QUERY_SIZE,
 ) -> dict:
-    from repro.service.wire import structure_to_json
-    from repro.workloads.generators import hostile_family
-
-    return {
-        "queries": [
-            structure_to_json(q) for q in _queries(queries, size)
-        ],
-        "instances": [
-            structure_to_json(i)
-            for i in hostile_family(count, nodes, seed=seed, density=density)
-        ],
-    }
+    return benchlib.screen_payload(queries, size, count, nodes, density, seed)
 
 
 def _oracle_digest(payload: dict) -> str:
@@ -128,57 +94,7 @@ def _oracle_digest(payload: dict) -> str:
     queries = [structure_from_json(q) for q in payload["queries"]]
     instances = [structure_from_json(i) for i in payload["instances"]]
     with Session(EngineConfig(workers=0)) as session:
-        return _digest(session.screen(queries, instances))
-
-
-# ----------------------------------------------------------------------
-# Server lifecycle
-# ----------------------------------------------------------------------
-
-
-def _start_server(
-    cache_dir: str,
-    env_extra: dict | None = None,
-    args_extra: tuple = (),
-) -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env["REPRO_HOM_WORKERS"] = "0"  # engine-serial unless a leg says so
-    env.update(env_extra or {})
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro",
-            "--cache-dir", cache_dir,
-            "serve", "--port", "0", *args_extra,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        cwd=str(REPO_ROOT),
-        env=env,
-    )
-    line = proc.stdout.readline()
-    if "listening" not in line:
-        proc.kill()
-        raise RuntimeError(f"server failed to start: {line!r}")
-    port = int(line.strip().rsplit(":", 1)[1])
-    return proc, port
-
-
-def _stop_server(proc: subprocess.Popen) -> None:
-    if proc.poll() is None:
-        proc.terminate()
-        try:
-            proc.wait(15)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(10)
-
-
-def _client(port: int, timeout: float = 60.0):
-    from repro.service.client import ServiceClient
-
-    return ServiceClient("127.0.0.1", port, timeout=timeout)
+        return digest(session.screen(queries, instances))
 
 
 def _wait_events(client, job_id: str, count: int, timeout: float = 300.0):
@@ -226,25 +142,25 @@ def _start_blocker(client, tenant: str) -> str:
 def leg_worker_kill(payload: dict, oracle: str) -> dict:
     """A pool worker SIGKILLed mid-screen inside the server."""
     with tempfile.TemporaryDirectory(prefix="repro-chaos-wk-") as tmp:
-        proc, port = _start_server(
+        proc, port = start_server(
             tmp,
-            env_extra={
+            env={
                 "REPRO_HOM_WORKERS": "2",
                 "REPRO_HOM_PARALLEL_MIN": "2",
                 "REPRO_FAULT_PLAN": "kill:0",
             },
         )
         try:
-            client = _client(port)
+            client = benchlib.client(port)
             record = client.submit("screen", payload, tenant="chaos")
             final = client.wait(record["id"], timeout=600.0)
         finally:
-            _stop_server(proc)
-    digest = _digest(final["result"]["matrix"]) if final["status"] == "done" else None
+            stop_server(proc)
+    got = digest(final["result"]["matrix"]) if final["status"] == "done" else None
     return {
         "status": final["status"],
-        "digest": digest,
-        "identical": digest == oracle,
+        "digest": got,
+        "identical": got == oracle,
     }
 
 
@@ -255,9 +171,9 @@ def leg_sigkill(payload: dict, oracle: str, cache_dir: str) -> dict:
         "REPRO_SERVICE_TENANT_JOBS": "1",
         "REPRO_SERVICE_LEASE_TTL_MS": str(LEASE_TTL_MS),
     }
-    proc, port = _start_server(cache_dir, env_extra=env)
+    proc, port = start_server(cache_dir, env=env)
     try:
-        client = _client(port)
+        client = benchlib.client(port)
         running = client.submit("screen", payload, tenant="chaos")
         queued = client.submit("screen", payload, tenant="chaos")
         at_kill = _wait_events(client, running["id"], 2)
@@ -266,9 +182,9 @@ def leg_sigkill(payload: dict, oracle: str, cache_dir: str) -> dict:
         proc.wait(15)
 
     restart = time.perf_counter()
-    proc, port = _start_server(cache_dir, env_extra=env)
+    proc, port = start_server(cache_dir, env=env)
     try:
-        client = _client(port)
+        client = benchlib.client(port)
         finals = {
             jid: client.wait(jid, timeout=600.0)
             for jid in (running["id"], queued["id"])
@@ -276,9 +192,9 @@ def leg_sigkill(payload: dict, oracle: str, cache_dir: str) -> dict:
         resume_s = time.perf_counter() - restart
         metrics = client.metrics()["service"]
     finally:
-        _stop_server(proc)
+        stop_server(proc)
     digests = {
-        jid: (_digest(f["result"]["matrix"])
+        jid: (digest(f["result"]["matrix"])
               if f["status"] == "done" else None)
         for jid, f in finals.items()
     }
@@ -305,10 +221,10 @@ def leg_sigterm(payload: dict, oracle: str, cache_dir: str) -> dict:
         "REPRO_SERVICE_TENANT_JOBS": "1",
         "REPRO_SERVICE_DRAIN_MS": str(int(DRAIN_DEADLINE_S * 1000)),
     }
-    proc, port = _start_server(cache_dir, env_extra=env)
+    proc, port = start_server(cache_dir, env=env)
     drain_status = None
     try:
-        client = _client(port)
+        client = benchlib.client(port)
         running = client.submit("screen", payload, tenant="chaos")
         queued = client.submit("screen", payload, tenant="chaos")
         _wait_events(client, running["id"], 1)
@@ -338,19 +254,19 @@ def leg_sigterm(payload: dict, oracle: str, cache_dir: str) -> dict:
         exit_s = time.perf_counter() - sent
         returncode = proc.returncode
     finally:
-        _stop_server(proc)
+        stop_server(proc)
 
-    proc, port = _start_server(cache_dir, env_extra=env)
+    proc, port = start_server(cache_dir, env=env)
     try:
-        client = _client(port)
+        client = benchlib.client(port)
         finals = {
             jid: client.wait(jid, timeout=600.0)
             for jid in (running["id"], queued["id"])
         }
     finally:
-        _stop_server(proc)
+        stop_server(proc)
     digests = {
-        jid: (_digest(f["result"]["matrix"])
+        jid: (digest(f["result"]["matrix"])
               if f["status"] == "done" else None)
         for jid, f in finals.items()
     }
@@ -371,13 +287,13 @@ def leg_bitflip(payload: dict, oracle: str, cache_dir: str) -> dict:
     and a re-screen must recompute to the identical matrix."""
     from repro.core.store import resolve_store_path
 
-    proc, port = _start_server(cache_dir)
+    proc, port = start_server(cache_dir)
     try:
-        client = _client(port)
+        client = benchlib.client(port)
         record = client.submit("screen", payload, tenant="chaos")
         first = client.wait(record["id"], timeout=600.0)
     finally:
-        _stop_server(proc)
+        stop_server(proc)
     if first["status"] != "done":
         raise RuntimeError(f"seed run failed: {first}")
 
@@ -399,20 +315,20 @@ def leg_bitflip(payload: dict, oracle: str, cache_dir: str) -> dict:
     finally:
         conn.close()
 
-    proc, port = _start_server(cache_dir)
+    proc, port = start_server(cache_dir)
     try:
-        client = _client(port)
+        client = benchlib.client(port)
         record = client.submit("screen", payload, tenant="chaos")
         final = client.wait(record["id"], timeout=600.0)
     finally:
-        _stop_server(proc)
-    digest = (
-        _digest(final["result"]["matrix"])
+        stop_server(proc)
+    got = (
+        digest(final["result"]["matrix"])
         if final["status"] == "done" else None
     )
     return {
         "status": final["status"],
-        "identical": digest == oracle,
+        "identical": got == oracle,
     }
 
 
@@ -420,11 +336,11 @@ def leg_cancel_storm(payload: dict, oracle: str) -> dict:
     """Cancel half a burst of screen jobs mid-flight; everything must
     settle exactly once and the survivors must match the oracle."""
     with tempfile.TemporaryDirectory(prefix="repro-chaos-storm-") as tmp:
-        proc, port = _start_server(
-            tmp, env_extra={"REPRO_SERVICE_TENANT_JOBS": "1"}
+        proc, port = start_server(
+            tmp, env={"REPRO_SERVICE_TENANT_JOBS": "1"}
         )
         try:
-            client = _client(port)
+            client = benchlib.client(port)
             # The screens queue behind the blocker (one job per tenant
             # at a time), so every cancel lands on a queued job.
             blocker = _start_blocker(client, "storm")
@@ -444,7 +360,7 @@ def leg_cancel_storm(payload: dict, oracle: str) -> dict:
             for event, _data in client.watch(doomed[0], timeout=60.0):
                 sse_terminal = event
         finally:
-            _stop_server(proc)
+            stop_server(proc)
     survivors = [jid for jid in jobs if jid not in doomed]
     return {
         "jobs": len(jobs),
@@ -458,7 +374,7 @@ def leg_cancel_storm(payload: dict, oracle: str) -> dict:
         "sse_terminal_event": sse_terminal,
         "survivors_identical": all(
             finals[jid]["status"] == "done"
-            and _digest(finals[jid]["result"]["matrix"]) == oracle
+            and digest(finals[jid]["result"]["matrix"]) == oracle
             for jid in survivors
         ),
     }
@@ -477,12 +393,12 @@ def leg_poison(cache_dir: str) -> dict:
         "REPRO_SERVICE_RETRY_BACKOFF_MS": "10",
     }
     query = {"query": structure_to_json(zoo.q5()), "probe_depth": 2}
-    proc, port = _start_server(
-        cache_dir, env_extra=env,
-        args_extra=("--retry-max", str(RETRY_MAX)),
+    proc, port = start_server(
+        cache_dir, env=env,
+        args=("--retry-max", str(RETRY_MAX)),
     )
     try:
-        client = _client(port)
+        client = benchlib.client(port)
         poison = client.submit("decide", query, tenant="poison")
         final = client.wait(poison["id"], timeout=120.0)
         # the plan is spent (ordinals 0..N-1): a fresh job runs clean
@@ -491,13 +407,13 @@ def leg_poison(cache_dir: str) -> dict:
             timeout=120.0,
         )
     finally:
-        _stop_server(proc)
+        stop_server(proc)
 
-    proc, port = _start_server(cache_dir, env_extra=env)
+    proc, port = start_server(cache_dir, env=env)
     try:
-        survived = _client(port).job(poison["id"])
+        survived = benchlib.client(port).job(poison["id"])
     finally:
-        _stop_server(proc)
+        stop_server(proc)
     return {
         "status": final["status"],
         "attempts": final["attempts"],
@@ -517,9 +433,9 @@ def leg_hung_cancel() -> dict:
     """A deep ungoverned probe (minutes of search) cancelled mid-run:
     the Budget cancel hook must settle it CANCELLED within seconds."""
     with tempfile.TemporaryDirectory(prefix="repro-chaos-hang-") as tmp:
-        proc, port = _start_server(tmp)
+        proc, port = start_server(tmp)
         try:
-            client = _client(port)
+            client = benchlib.client(port)
             job_id = _start_blocker(client, "hang")
             time.sleep(0.5)  # let it descend into the search
             started = time.perf_counter()
@@ -527,7 +443,7 @@ def leg_hung_cancel() -> dict:
             final = client.wait(job_id, timeout=60.0)
             latency = time.perf_counter() - started
         finally:
-            _stop_server(proc)
+            stop_server(proc)
     return {
         "status": final["status"],
         "cancel_latency_s": latency,
@@ -550,22 +466,22 @@ def smoke() -> int:
     )
     oracle = _oracle_digest(payload)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-smoke-") as tmp:
-        proc, port = _start_server(
+        proc, port = start_server(
             tmp,
-            env_extra={
+            env={
                 "REPRO_FAULT_PLAN": "jobfail:0",
                 "REPRO_SERVICE_RETRY_BACKOFF_MS": "10",
                 "REPRO_SERVICE_TENANT_JOBS": "1",
             },
         )
         try:
-            client = _client(port, timeout=30.0)
+            client = benchlib.client(port, timeout=30.0)
             # injected fault on the first execution: retried to done
             record = client.submit("screen", payload)
             final = client.wait(record["id"], timeout=120.0)
             assert final["status"] == "done", final
             assert final["attempts"] == 2, final
-            assert _digest(final["result"]["matrix"]) == oracle
+            assert digest(final["result"]["matrix"]) == oracle
             # cancel a queued job; its SSE stream ends in `cancelled`.
             # The blocker is about a second of work no earlier job
             # settled (a repeat of the screen above answers from the
@@ -585,7 +501,7 @@ def smoke() -> int:
             proc.wait(30)
             assert proc.returncode == 0, proc.returncode
         finally:
-            _stop_server(proc)
+            stop_server(proc)
     print(
         "[bench_chaos] smoke OK: injected-fault retry (attempts=2), "
         "cancel streamed `event: cancelled`, SIGTERM drained cleanly"
@@ -597,22 +513,10 @@ def smoke() -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_chaos.json",
-        help="where to write the results",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every criterion holds",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI liveness leg only: fault retry, cancel SSE, drain",
+    parser = benchlib.parser(
+        __doc__,
+        "BENCH_chaos.json",
+        smoke="CI liveness leg only: fault retry, cancel SSE, drain",
     )
     args = parser.parse_args()
 
@@ -645,52 +549,44 @@ def main() -> int:
         hung = leg_hung_cancel()
         print(f"[bench_chaos] hung-job cancel: {hung}")
 
-    def crit(value, ok) -> dict:
-        return {
-            "enforced": True,
-            "skip_reason": None,
-            "value": value,
-            "pass": bool(ok),
-        }
-
     criteria = {
-        "worker_kill_digest_identical": crit(
+        "worker_kill_digest_identical": criterion(
             worker_kill["status"], worker_kill["identical"]
         ),
-        "sigkill_both_jobs_settle_identical": crit(
+        "sigkill_both_jobs_settle_identical": criterion(
             sigkill["statuses"],
             sigkill["all_terminal"] and sigkill["identical"],
         ),
-        "sigterm_admission_rejected_during_drain": crit(
+        "sigterm_admission_rejected_during_drain": criterion(
             sigterm["admission_during_drain"],
             sigterm["admission_during_drain"] == 503,
         ),
-        "sigterm_exits_in_deadline": crit(
+        "sigterm_exits_in_deadline": criterion(
             sigterm["exit_s"],
             sigterm["exited_in_deadline"] and sigterm["returncode"] == 0,
         ),
-        "sigterm_work_settles_identical": crit(
+        "sigterm_work_settles_identical": criterion(
             sigterm["statuses"],
             sigterm["running_settled_before_exit"]
             and sigterm["identical"],
         ),
-        "bitflip_recomputed_identical": crit(
+        "bitflip_recomputed_identical": criterion(
             bitflip["status"], bitflip["identical"]
         ),
-        "cancel_storm_exactly_one_terminal_each": crit(
+        "cancel_storm_exactly_one_terminal_each": criterion(
             storm["statuses"],
             storm["all_terminal"]
             and storm["cancelled"] == len(storm["statuses"]) // 2
             and storm["sse_terminal_event"] == "cancelled"
             and storm["survivors_identical"],
         ),
-        "poison_failed_after_exactly_n_attempts": crit(
+        "poison_failed_after_exactly_n_attempts": criterion(
             {"attempts": poison["attempts"], "status": poison["status"]},
             poison["quarantined_exactly"]
             and poison["clean_status"] == "done"
             and poison["record_survives_restart"],
         ),
-        "hung_job_cancelled_within_bound": crit(
+        "hung_job_cancelled_within_bound": criterion(
             hung["cancel_latency_s"], hung["within_bound"]
         ),
     }
@@ -726,22 +622,7 @@ def main() -> int:
         "hung_cancel": hung,
         "criteria": criteria,
     }
-    args.output.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"[bench_chaos] wrote {args.output}")
-    failures = 0
-    for name, criterion in criteria.items():
-        if criterion["pass"]:
-            print(f"  criterion {name}: PASS")
-        else:
-            print(
-                f"  criterion {name}: FAIL (value {criterion['value']})"
-            )
-            failures += 1
-    if args.check and failures:
-        return 1
-    return 0
+    return benchlib.finish("bench_chaos", report, args)
 
 
 if __name__ == "__main__":

@@ -41,32 +41,21 @@ the warm-started probe >= 1.5x over the cold probe.
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 import os
 import sys
-import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.core.config import EngineConfig  # noqa: E402
-from repro.core.cq import OneCQ  # noqa: E402
-from repro.core.boundedness import probe_boundedness  # noqa: E402
-from repro.core.homengine import (  # noqa: E402
+import benchlib
+from benchlib import best_time, chain_query, criterion, geomean, unlabelled_ditree
+from repro.core.config import EngineConfig
+from repro.core.cq import OneCQ
+from repro.core.boundedness import probe_boundedness
+from repro.core.homengine import (
     has_homomorphism,
     matrix_backend_available,
 )
-from repro.core.structure import (  # noqa: E402
-    F,
-    StructureBuilder,
-    T,
-    path_structure,
-)
-from repro.session import Session  # noqa: E402
-from repro.workloads.generators import (  # noqa: E402
+from repro.core.structure import path_structure
+from repro.session import Session
+from repro.workloads.generators import (
     block_dag_instance,
     random_instance,
 )
@@ -75,33 +64,6 @@ MIN_DECOMP_GEOMEAN = 2.0
 MIN_WARM_SPEEDUP = 1.5
 
 TARGET_LABELS = {"T": 1, "F": 1, "": 20, "A": 2, "FT": 0}
-
-
-def unlabelled_ditree(n: int, seed: int):
-    import random
-
-    rng = random.Random(seed)
-    b = StructureBuilder()
-    for i in range(n):
-        b.add_node(i)
-    for i in range(1, n):
-        b.add_edge(rng.randrange(i), i)
-    return b.build()
-
-
-def chain_query(interior: int):
-    """A span-1 1-CQ whose cactuses form a single chain per depth:
-    F -R-> m_0 -R-> .. -R-> m_{k-1} -R-> T."""
-    b = StructureBuilder()
-    b.add_node("f", F)
-    prev = "f"
-    for i in range(interior):
-        b.add_node(f"m{i}")
-        b.add_edge(prev, f"m{i}")
-        prev = f"m{i}"
-    b.add_node("t", T)
-    b.add_edge(prev, "t")
-    return b.build()
 
 
 # Treewidth-1 queries (the gated workload of the ISSUE): unlabelled
@@ -148,24 +110,6 @@ def large_targets():
             False,
         ),
     ]
-
-
-def best_time(fn, rounds: int, target_s: float = 0.1) -> float:
-    start = time.perf_counter()
-    fn()
-    once = time.perf_counter() - start
-    iters = max(1, int(target_s / max(once, 1e-9)))
-    best = once
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, (time.perf_counter() - start) / iters)
-    return best
-
-
-def geomean(values: list[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def bench_backend_duel(rounds: int) -> dict:
@@ -250,48 +194,30 @@ def bench_warm_probe(rounds: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_decomp.json",
-        help="where to write the results",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=5,
-        help="timing rounds per measurement (minimum is reported)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every criterion holds",
-    )
-    args = parser.parse_args()
+    args = benchlib.parser(__doc__, "BENCH_decomp.json", rounds=5).parse_args()
 
     duel = bench_backend_duel(args.rounds)
     probe = bench_warm_probe(args.rounds)
 
+    info = duel["geomean_speedup_info"]
+    print(
+        f"  decomp geomean speedup {duel['geomean_speedup_gated']:.2f}x "
+        f"gated (min {duel['min_speedup_gated']:.2f}x"
+        + (f", info {info:.2f}x" if info is not None else "")
+        + ")"
+    )
+    print(f"  warm probe speedup {probe['speedup']:.2f}x")
     criteria = {
-        "decomp_geomean_speedup_ge_2x_on_tw1": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": duel["geomean_speedup_gated"],
-            "pass": duel["geomean_speedup_gated"] >= MIN_DECOMP_GEOMEAN,
-        },
-        "warm_probe_speedup_ge_1_5x": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": probe["speedup"],
-            "pass": probe["speedup"] >= MIN_WARM_SPEEDUP,
-        },
-        "warm_probe_verdict_agrees": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": probe["verdicts_agree"],
-            "pass": probe["verdicts_agree"],
-        },
+        "decomp_geomean_speedup_ge_2x_on_tw1": criterion(
+            duel["geomean_speedup_gated"],
+            duel["geomean_speedup_gated"] >= MIN_DECOMP_GEOMEAN,
+        ),
+        "warm_probe_speedup_ge_1_5x": criterion(
+            probe["speedup"], probe["speedup"] >= MIN_WARM_SPEEDUP
+        ),
+        "warm_probe_verdict_agrees": criterion(
+            probe["verdicts_agree"], probe["verdicts_agree"]
+        ),
     }
 
     report = {
@@ -309,28 +235,7 @@ def main() -> int:
         "warm_probe": probe,
         "criteria": criteria,
     }
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"[bench_decomp] wrote {args.output}")
-    info = duel["geomean_speedup_info"]
-    print(
-        f"  decomp geomean speedup {duel['geomean_speedup_gated']:.2f}x "
-        f"gated (min {duel['min_speedup_gated']:.2f}x"
-        + (f", info {info:.2f}x" if info is not None else "")
-        + ")"
-    )
-    print(f"  warm probe speedup {probe['speedup']:.2f}x")
-    failures = 0
-    for name, crit in criteria.items():
-        if not crit["enforced"]:
-            print(f"  criterion {name}: SKIPPED ({crit['skip_reason']})")
-        elif crit["pass"]:
-            print(f"  criterion {name}: PASS")
-        else:
-            print(f"  criterion {name}: FAIL (value {crit['value']})")
-            failures += 1
-    if args.check and failures:
-        return 1
-    return 0
+    return benchlib.finish("bench_decomp", report, args)
 
 
 if __name__ == "__main__":

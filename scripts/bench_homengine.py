@@ -18,16 +18,14 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
-import math
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+import benchlib
+from benchlib import REPO_ROOT, criterion, geomean
 
 BENCH_FILES = [
     "benchmarks/bench_e15_ablation_hom.py",
@@ -40,13 +38,9 @@ BACKENDS = ("naive", "bitset")
 
 
 def run_backend(backend: str, json_path: Path, extra_args: list[str]) -> None:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    # The child process ingests this through EngineConfig.from_env()
-    # when its default session is first used.
-    env["REPRO_HOM_BACKEND"] = backend
+    # The child process ingests REPRO_HOM_BACKEND through
+    # EngineConfig.from_env() when its default session is first used.
+    env = benchlib.child_env({"REPRO_HOM_BACKEND": backend})
     cmd = [
         sys.executable,
         "-m",
@@ -73,23 +67,8 @@ def load_means(json_path: Path) -> dict[str, dict]:
     return out
 
 
-def geomean(values: list[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_homengine.json",
-        help="where to write the merged results",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless the acceptance criteria hold",
-    )
+    parser = benchlib.parser(__doc__, "BENCH_homengine.json")
     parser.add_argument(
         "pytest_args",
         nargs="*",
@@ -138,18 +117,24 @@ def main() -> int:
     # Per-file end-to-end comparisons use the geometric mean: E3 also
     # contains a pure cactus-construction benchmark with no hom calls at
     # all, whose ratio is 1.0 by construction and pure noise otherwise.
+    e15 = summary["e15_hom_ablation"]["geomean_speedup"]
+    slowest = min(
+        summary[k]["geomean_speedup"] or 0.0
+        for k in ("e2_evaluation", "e3_cactus", "e4_focused")
+    )
     criteria = {
-        "e15_geomean_speedup_ge_3x": (
-            summary["e15_hom_ablation"]["geomean_speedup"] is not None
-            and summary["e15_hom_ablation"]["geomean_speedup"] >= 3.0
+        "e15_geomean_speedup_ge_3x": criterion(
+            e15, e15 is not None and e15 >= 3.0
         ),
-        "e2_e3_e4_strictly_faster": all(
-            summary[k]["geomean_speedup"] is not None
-            and summary[k]["geomean_speedup"] > 1.0
-            for k in ("e2_evaluation", "e3_cactus", "e4_focused")
-        ),
+        "e2_e3_e4_strictly_faster": criterion(slowest, slowest > 1.0),
     }
 
+    for label, stats in summary.items():
+        print(
+            f"  {label}: geomean speedup "
+            f"{stats['geomean_speedup'] and round(stats['geomean_speedup'], 2)}"
+            f" (min {stats['min_speedup'] and round(stats['min_speedup'], 2)})"
+        )
     report = {
         "description": (
             "Hom-engine backend comparison (naive vs bitset) on the "
@@ -160,20 +145,7 @@ def main() -> int:
         "criteria": criteria,
         "benchmarks": benches,
     }
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"[bench_homengine] wrote {args.output}")
-    for label, stats in summary.items():
-        print(
-            f"  {label}: geomean speedup "
-            f"{stats['geomean_speedup'] and round(stats['geomean_speedup'], 2)}"
-            f" (min {stats['min_speedup'] and round(stats['min_speedup'], 2)})"
-        )
-    for name, ok in criteria.items():
-        print(f"  criterion {name}: {'PASS' if ok else 'FAIL'}")
-
-    if args.check and not all(criteria.values()):
-        return 1
-    return 0
+    return benchlib.finish("bench_homengine", report, args)
 
 
 if __name__ == "__main__":

@@ -31,41 +31,24 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
-import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.core.homengine import (  # noqa: E402
+import benchlib
+from benchlib import best_time, criterion, geomean, unlabelled_ditree
+from repro.core.homengine import (
     _count_homomorphisms,
     matrix_backend_available,
     semiring_evaluate,
 )
-from repro.core.semiring import PROB, resolve_semiring  # noqa: E402
-from repro.core.structure import StructureBuilder, path_structure  # noqa: E402
-from repro.session import Session  # noqa: E402
-from repro.workloads.generators import random_instance  # noqa: E402
+from repro.core.semiring import resolve_semiring
+from repro.core.structure import path_structure
+from repro.session import Session
+from repro.workloads.generators import random_instance
 
 MAX_COUNT_OVERHEAD = 1.3
 MIN_PROB_SPEEDUP = 2.0
-
-
-def unlabelled_ditree(n: int, seed: int):
-    import random
-
-    rng = random.Random(seed)
-    b = StructureBuilder()
-    for i in range(n):
-        b.add_node(i)
-    for i in range(1, n):
-        b.add_edge(rng.randrange(i), i)
-    return b.build()
 
 
 # Tree-shaped queries: width 1, so both the decomp DP and the matrix
@@ -99,24 +82,6 @@ def prob_targets():
 
 def tuple_independent_weights(target, p: float = 0.9) -> dict:
     return {fact: p for fact in target.binary_facts}
-
-
-def best_time(fn, rounds: int, target_s: float = 0.1) -> float:
-    start = time.perf_counter()
-    fn()
-    once = time.perf_counter() - start
-    iters = max(1, int(target_s / max(once, 1e-9)))
-    best = once
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        best = min(best, (time.perf_counter() - start) / iters)
-    return best
-
-
-def geomean(values: list[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def bench_count_overhead(rounds: int) -> dict:
@@ -217,57 +182,40 @@ def bench_prob_matvec(rounds: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_semiring.json",
-        help="where to write the results",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=5,
-        help="timing rounds per measurement (minimum is reported)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every enforced criterion holds",
-    )
-    args = parser.parse_args()
+    args = benchlib.parser(__doc__, "BENCH_semiring.json", rounds=5).parse_args()
 
     matrix_ok = matrix_backend_available()
     count = bench_count_overhead(args.rounds)
     prob = bench_prob_matvec(args.rounds) if matrix_ok else None
 
+    print(
+        f"  count surface overhead {count['geomean_overhead']:.2f}x "
+        f"geomean (max {count['max_overhead']:.2f}x)"
+    )
+    if prob is not None:
+        print(
+            f"  prob matvec speedup {prob['geomean_speedup']:.2f}x "
+            f"geomean (min {prob['min_speedup']:.2f}x)"
+        )
+    no_numpy = None if matrix_ok else "numpy not installed"
     criteria = {
-        "count_surface_overhead_le_1_3x": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": count["geomean_overhead"],
-            "pass": count["geomean_overhead"] <= MAX_COUNT_OVERHEAD,
-        },
-        "count_surface_agrees_with_legacy": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": count["counts_agree"],
-            "pass": count["counts_agree"],
-        },
-        "prob_matvec_speedup_ge_2x": {
-            "enforced": matrix_ok,
-            "skip_reason": None if matrix_ok else "numpy not installed",
-            "value": prob["geomean_speedup"] if prob else None,
-            "pass": (prob["geomean_speedup"] >= MIN_PROB_SPEEDUP)
-            if prob
-            else True,
-        },
-        "prob_matvec_agrees_with_enumeration": {
-            "enforced": matrix_ok,
-            "skip_reason": None if matrix_ok else "numpy not installed",
-            "value": prob["values_agree"] if prob else None,
-            "pass": prob["values_agree"] if prob else True,
-        },
+        "count_surface_overhead_le_1_3x": criterion(
+            count["geomean_overhead"],
+            count["geomean_overhead"] <= MAX_COUNT_OVERHEAD,
+        ),
+        "count_surface_agrees_with_legacy": criterion(
+            count["counts_agree"], count["counts_agree"]
+        ),
+        "prob_matvec_speedup_ge_2x": criterion(
+            prob["geomean_speedup"] if prob else None,
+            prob["geomean_speedup"] >= MIN_PROB_SPEEDUP if prob else True,
+            no_numpy,
+        ),
+        "prob_matvec_agrees_with_enumeration": criterion(
+            prob["values_agree"] if prob else None,
+            prob["values_agree"] if prob else True,
+            no_numpy,
+        ),
     }
 
     report = {
@@ -286,29 +234,7 @@ def main() -> int:
         "prob_matvec": prob,
         "criteria": criteria,
     }
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"[bench_semiring] wrote {args.output}")
-    print(
-        f"  count surface overhead {count['geomean_overhead']:.2f}x "
-        f"geomean (max {count['max_overhead']:.2f}x)"
-    )
-    if prob is not None:
-        print(
-            f"  prob matvec speedup {prob['geomean_speedup']:.2f}x "
-            f"geomean (min {prob['min_speedup']:.2f}x)"
-        )
-    failures = 0
-    for name, crit in criteria.items():
-        if not crit["enforced"]:
-            print(f"  criterion {name}: SKIPPED ({crit['skip_reason']})")
-        elif crit["pass"]:
-            print(f"  criterion {name}: PASS")
-        else:
-            print(f"  criterion {name}: FAIL (value {crit['value']})")
-            failures += 1
-    if args.check and failures:
-        return 1
-    return 0
+    return benchlib.finish("bench_semiring", report, args)
 
 
 if __name__ == "__main__":

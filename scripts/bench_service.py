@@ -32,21 +32,19 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import os
 import signal
-import subprocess
 import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = Path(__file__).resolve()
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchlib
+from benchlib import criterion, digest, start_server, stop_server
+
+SCRIPT = str(Path(__file__).resolve())
 
 MIN_THROUGHPUT_RATIO = 0.8
 
@@ -71,25 +69,6 @@ KILL_SEED = 500
 KILL_AFTER_EVENTS = 2
 
 
-def _digest(payload: object) -> str:
-    return hashlib.blake2b(
-        repr(payload).encode(), digest_size=16
-    ).hexdigest()
-
-
-def _queries():
-    from repro.workloads.generators import random_ditree_cq
-
-    queries = []
-    seed = 0
-    while len(queries) < QUERY_COUNT and seed < 10_000:
-        q = random_ditree_cq(QUERY_SIZE, seed)
-        if q is not None:
-            queries.append(q)
-        seed += 1
-    return queries
-
-
 def _family(
     count: int,
     seed: int,
@@ -107,15 +86,9 @@ def _screen_payload(
     nodes: int = FAMILY_NODES,
     density: float = FAMILY_DENSITY,
 ) -> dict:
-    from repro.service.wire import structure_to_json
-
-    return {
-        "queries": [structure_to_json(q) for q in _queries()],
-        "instances": [
-            structure_to_json(i)
-            for i in _family(count, seed, nodes, density)
-        ],
-    }
+    return benchlib.screen_payload(
+        QUERY_COUNT, QUERY_SIZE, count, nodes, density, seed
+    )
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +109,7 @@ def _worker_direct() -> dict:
     """
     from repro import EngineConfig, Session
 
-    queries = _queries()
+    queries = benchlib.ditree_queries(QUERY_COUNT, QUERY_SIZE)
     families = [
         _family(FAMILY_COUNT, FAMILY_SEED + i) for i in range(CLIENTS)
     ]
@@ -147,11 +120,11 @@ def _worker_direct() -> dict:
     ) as session:
         start = time.perf_counter()
         digests = [
-            _digest(session.screen(queries, family))
+            digest(session.screen(queries, family))
             for family in families
         ]
         elapsed = time.perf_counter() - start
-        kill_digest = _digest(
+        kill_digest = digest(
             session.screen(
                 queries,
                 _family(KILL_COUNT, KILL_SEED, KILL_NODES, KILL_DENSITY),
@@ -165,77 +138,21 @@ def _worker_direct() -> dict:
     }
 
 
-def _run_direct() -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--worker", "direct"],
-        capture_output=True,
-        text=True,
-        cwd=str(REPO_ROOT),
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"bench child (direct) failed rc={proc.returncode}:\n"
-            f"{proc.stdout}\n{proc.stderr}"
-        )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-# ----------------------------------------------------------------------
-# Server lifecycle
-# ----------------------------------------------------------------------
-
-
-def _start_server(cache_dir: str) -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env["REPRO_HOM_WORKERS"] = "0"  # engine-serial inside the service
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro",
-            "--cache-dir", cache_dir,
-            "serve", "--port", "0",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        cwd=str(REPO_ROOT),
-        env=env,
-    )
-    line = proc.stdout.readline()
-    if "listening" not in line:
-        proc.kill()
-        raise RuntimeError(f"server failed to start: {line!r}")
-    port = int(line.strip().rsplit(":", 1)[1])
-    return proc, port
-
-
-def _stop_server(proc: subprocess.Popen) -> None:
-    if proc.poll() is None:
-        proc.terminate()
-        try:
-            proc.wait(10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(10)
-
-
 # ----------------------------------------------------------------------
 # Leg 1: concurrent screen-job clients
 # ----------------------------------------------------------------------
 
 
 def bench_concurrent(cache_dir: str) -> dict:
-    from repro.service.client import ServiceClient
-
     # payload construction is request *preparation*, not service work:
     # build every submission before the timed window opens
     payloads = [
         _screen_payload(FAMILY_COUNT, FAMILY_SEED + i)
         for i in range(CLIENTS)
     ]
-    proc, port = _start_server(cache_dir)
+    proc, port = start_server(cache_dir)
     try:
-        client = ServiceClient("127.0.0.1", port, timeout=60.0)
+        client = benchlib.client(port)
         latencies = [0.0] * CLIENTS
         matrices: list = [None] * CLIENTS
         errors: list = []
@@ -279,7 +196,7 @@ def bench_concurrent(cache_dir: str) -> dict:
         if errors:
             raise RuntimeError("; ".join(errors))
     finally:
-        _stop_server(proc)
+        stop_server(proc)
 
     answers = CLIENTS * FAMILY_COUNT * QUERY_COUNT
     ordered = sorted(latencies)
@@ -292,7 +209,7 @@ def bench_concurrent(cache_dir: str) -> dict:
         "p99_ms": ordered[
             min(len(ordered) - 1, int(len(ordered) * 0.99))
         ] * 1e3,
-        "digests": [_digest(m) for m in matrices],
+        "digests": [digest(m) for m in matrices],
     }
 
 
@@ -302,15 +219,13 @@ def bench_concurrent(cache_dir: str) -> dict:
 
 
 def bench_kill9(cache_dir: str) -> dict:
-    from repro.service.client import ServiceClient
-
     payload = _screen_payload(
         KILL_COUNT, KILL_SEED, KILL_NODES, KILL_DENSITY
     )
-    proc, port = _start_server(cache_dir)
+    proc, port = start_server(cache_dir)
     job_id = None
     try:
-        client = ServiceClient("127.0.0.1", port, timeout=60.0)
+        client = benchlib.client(port)
         record = client.submit("screen", payload, tenant="kill")
         job_id = record["id"]
         # wait for the first shards to settle (checkpoint rows exist),
@@ -329,14 +244,14 @@ def bench_kill9(cache_dir: str) -> dict:
         proc.wait(10)
 
     restart = time.perf_counter()
-    proc, port = _start_server(cache_dir)
+    proc, port = start_server(cache_dir)
     try:
-        client = ServiceClient("127.0.0.1", port, timeout=60.0)
+        client = benchlib.client(port)
         final = client.wait(job_id, timeout=600.0)
         resume_s = time.perf_counter() - restart
         recovered = client.metrics()["service"]["recovered"]
     finally:
-        _stop_server(proc)
+        stop_server(proc)
     if final["status"] != "done":
         raise RuntimeError(
             f"resumed job {job_id} {final['status']}: "
@@ -347,7 +262,7 @@ def bench_kill9(cache_dir: str) -> dict:
         "events_at_kill": events_at_kill,
         "resume_s": resume_s,
         "recovered_jobs": recovered,
-        "digest": _digest(final["result"]["matrix"]),
+        "digest": digest(final["result"]["matrix"]),
     }
 
 
@@ -357,12 +272,10 @@ def bench_kill9(cache_dir: str) -> dict:
 
 
 def smoke() -> int:
-    from repro.service.client import ServiceClient
-
     with tempfile.TemporaryDirectory(prefix="repro-svc-smoke-") as tmp:
-        proc, port = _start_server(tmp)
+        proc, port = start_server(tmp)
         try:
-            client = ServiceClient("127.0.0.1", port, timeout=30.0)
+            client = benchlib.client(port, timeout=30.0)
             health = client.healthz()
             assert health["status"] == "ok", health
             config = client.config()
@@ -394,35 +307,18 @@ def smoke() -> int:
             )
             return 0
         finally:
-            _stop_server(proc)
+            stop_server(proc)
 
 
 # ----------------------------------------------------------------------
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_service.json",
-        help="where to write the results",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every criterion holds",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI liveness leg only: boot, submit, stream, assert",
-    )
-    parser.add_argument(
-        "--worker",
-        choices=("direct",),
-        default=None,
-        help=argparse.SUPPRESS,  # internal: the oracle measurement
+    parser = benchlib.parser(
+        __doc__,
+        "BENCH_service.json",
+        smoke="CI liveness leg only: boot, submit, stream, assert",
+        worker=("direct",),
     )
     args = parser.parse_args()
 
@@ -432,7 +328,7 @@ def main() -> int:
     if args.smoke:
         return smoke()
 
-    direct = _run_direct()
+    direct = benchlib.run_child(SCRIPT, "--worker", "direct")
     with tempfile.TemporaryDirectory(prefix="repro-bench-svc-") as tmp:
         concurrent = bench_concurrent(str(Path(tmp) / "concurrent"))
         kill9 = bench_kill9(str(Path(tmp) / "kill9"))
@@ -457,24 +353,15 @@ def main() -> int:
     )
 
     criteria = {
-        "throughput_ge_0_8x_direct": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": ratio,
-            "pass": ratio >= MIN_THROUGHPUT_RATIO,
-        },
-        "concurrent_answers_identical": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": answers_match,
-            "pass": answers_match,
-        },
-        "kill9_resume_answers_identical": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": resume_match,
-            "pass": resume_match,
-        },
+        "throughput_ge_0_8x_direct": criterion(
+            ratio, ratio >= MIN_THROUGHPUT_RATIO
+        ),
+        "concurrent_answers_identical": criterion(
+            answers_match, answers_match
+        ),
+        "kill9_resume_answers_identical": criterion(
+            resume_match, resume_match
+        ),
     }
 
     report = {
@@ -506,22 +393,7 @@ def main() -> int:
         "kill9": kill9,
         "criteria": criteria,
     }
-    args.output.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
-    print(f"[bench_service] wrote {args.output}")
-    failures = 0
-    for name, crit in criteria.items():
-        if not crit["enforced"]:
-            print(f"  criterion {name}: SKIPPED ({crit['skip_reason']})")
-        elif crit["pass"]:
-            print(f"  criterion {name}: PASS")
-        else:
-            print(f"  criterion {name}: FAIL (value {crit['value']})")
-            failures += 1
-    if args.check and failures:
-        return 1
-    return 0
+    return benchlib.finish("bench_service", report, args)
 
 
 if __name__ == "__main__":

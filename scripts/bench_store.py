@@ -36,19 +36,18 @@ cold/warm answers identical.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = Path(__file__).resolve()
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchlib
+from benchlib import chain_query, criterion, digest, run_child
+
+SCRIPT = str(Path(__file__).resolve())
 
 MIN_PROBE_SPEEDUP = 2.0
 MIN_SCREEN_SPEEDUP = 1.5
@@ -62,33 +61,12 @@ SCREEN_EDGES = 120
 SCREEN_SEED = 11
 
 
-def _digest(payload: object) -> str:
-    return hashlib.blake2b(
-        repr(payload).encode(), digest_size=16
-    ).hexdigest()
-
-
-def _chain_query(interior: int):
-    from repro.core.structure import F, StructureBuilder, T
-
-    b = StructureBuilder()
-    b.add_node("f", F)
-    prev = "f"
-    for i in range(interior):
-        b.add_node(f"m{i}")
-        b.add_edge(prev, f"m{i}")
-        prev = f"m{i}"
-    b.add_node("t", T)
-    b.add_edge(prev, "t")
-    return b.build()
-
-
 def _worker_probe(cache_dir: str) -> dict:
     from repro import EngineConfig, Session
     from repro.core.boundedness import probe_boundedness
     from repro.core.cq import OneCQ
 
-    query = _chain_query(PROBE_INTERIOR)
+    query = chain_query(PROBE_INTERIOR)
     start = time.perf_counter()
     with Session(
         EngineConfig(cache_dir=cache_dir, workers=1)
@@ -102,7 +80,7 @@ def _worker_probe(cache_dir: str) -> dict:
         result.cactuses_examined,
         tuple(result.uncovered),
     )
-    return {"elapsed": elapsed, "digest": _digest(answers)}
+    return {"elapsed": elapsed, "digest": digest(answers)}
 
 
 def _worker_screen(cache_dir: str) -> dict:
@@ -119,24 +97,7 @@ def _worker_screen(cache_dir: str) -> dict:
     ) as session:
         matrix = session.screen(queries, targets)
     elapsed = time.perf_counter() - start
-    return {"elapsed": elapsed, "digest": _digest(matrix)}
-
-
-def _run_child(mode: str, cache_dir: str) -> dict:
-    """One workload run in a fresh interpreter; returns its report."""
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--worker", mode,
-         "--cache-dir", cache_dir],
-        capture_output=True,
-        text=True,
-        cwd=str(REPO_ROOT),
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"bench child ({mode}) failed rc={proc.returncode}:\n"
-            f"{proc.stdout}\n{proc.stderr}"
-        )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"elapsed": elapsed, "digest": digest(matrix)}
 
 
 def bench_restart(mode: str, rounds: int, workdir: Path) -> dict:
@@ -146,17 +107,17 @@ def bench_restart(mode: str, rounds: int, workdir: Path) -> dict:
     for i in range(rounds):
         d = workdir / f"{mode}-cold-{i}"
         shutil.rmtree(d, ignore_errors=True)
-        rep = _run_child(mode, str(d))
+        rep = run_child(SCRIPT, "--worker", mode, "--cache-dir", str(d))
         cold_times.append(rep["elapsed"])
         digests.add(rep["digest"])
 
     warm_dir = workdir / f"{mode}-warm"
     shutil.rmtree(warm_dir, ignore_errors=True)
-    prime = _run_child(mode, str(warm_dir))
+    prime = run_child(SCRIPT, "--worker", mode, "--cache-dir", str(warm_dir))
     digests.add(prime["digest"])
     warm_times = []
     for _ in range(rounds):
-        rep = _run_child(mode, str(warm_dir))
+        rep = run_child(SCRIPT, "--worker", mode, "--cache-dir", str(warm_dir))
         warm_times.append(rep["elapsed"])
         digests.add(rep["digest"])
 
@@ -178,29 +139,8 @@ def bench_restart(mode: str, rounds: int, workdir: Path) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_store.json",
-        help="where to write the results",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=3,
-        help="restart rounds per arm (minimum time is reported)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless every criterion holds",
-    )
-    parser.add_argument(
-        "--worker",
-        choices=("probe", "screen"),
-        default=None,
-        help=argparse.SUPPRESS,  # internal: one child measurement
+    parser = benchlib.parser(
+        __doc__, "BENCH_store.json", rounds=3, worker=("probe", "screen")
     )
     parser.add_argument(
         "--cache-dir",
@@ -220,30 +160,18 @@ def main() -> int:
         screen = bench_restart("screen", args.rounds, workdir)
 
     criteria = {
-        "probe_warm_restart_ge_2x": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": probe["speedup"],
-            "pass": probe["speedup"] >= MIN_PROBE_SPEEDUP,
-        },
-        "screen_warm_restart_ge_1_5x": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": screen["speedup"],
-            "pass": screen["speedup"] >= MIN_SCREEN_SPEEDUP,
-        },
-        "probe_answers_identical": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": probe["answers_identical"],
-            "pass": probe["answers_identical"],
-        },
-        "screen_answers_identical": {
-            "enforced": True,
-            "skip_reason": None,
-            "value": screen["answers_identical"],
-            "pass": screen["answers_identical"],
-        },
+        "probe_warm_restart_ge_2x": criterion(
+            probe["speedup"], probe["speedup"] >= MIN_PROBE_SPEEDUP
+        ),
+        "screen_warm_restart_ge_1_5x": criterion(
+            screen["speedup"], screen["speedup"] >= MIN_SCREEN_SPEEDUP
+        ),
+        "probe_answers_identical": criterion(
+            probe["answers_identical"], probe["answers_identical"]
+        ),
+        "screen_answers_identical": criterion(
+            screen["answers_identical"], screen["answers_identical"]
+        ),
     }
 
     report = {
@@ -268,20 +196,7 @@ def main() -> int:
         },
         "criteria": criteria,
     }
-    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"[bench_store] wrote {args.output}")
-    failures = 0
-    for name, crit in criteria.items():
-        if not crit["enforced"]:
-            print(f"  criterion {name}: SKIPPED ({crit['skip_reason']})")
-        elif crit["pass"]:
-            print(f"  criterion {name}: PASS")
-        else:
-            print(f"  criterion {name}: FAIL (value {crit['value']})")
-            failures += 1
-    if args.check and failures:
-        return 1
-    return 0
+    return benchlib.finish("bench_store", report, args)
 
 
 if __name__ == "__main__":

@@ -31,11 +31,13 @@ All cactus material flows through the pooled incremental
 depth loop, a later rewriting extraction and the Σ-variant all share
 the same materialised cactuses.
 
-The batch traffic of this module routes through the shard executor of
-:mod:`repro.core.runtime`: large batches (a deep probe's cactus layers,
-a big :func:`ucq_certain_answers` instance family) are chunked across
-the bounded process pool (``REPRO_HOM_WORKERS``), while small batches
-keep the serial fast path.
+The probe's coverage checks run serially in the calling process: each
+one stops at its first covering cactus, so shipping them to a process
+pool costs more than it saves.  A big :func:`ucq_certain_answers`
+instance family routes through the shard executor of
+:mod:`repro.core.runtime` and is chunked across the bounded process
+pool (``REPRO_HOM_WORKERS``), while small families keep the serial
+fast path.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .decomp import ProbeCoverage, query_width
 from .errors import Answer, ResourceExhausted, governed_scope
 from .homengine import evaluate_batch, evaluate_batch_governed
 from .homomorphism import covers_any
-from .runtime import parallel_covers_any, parallel_ucq_answers
+from .runtime import parallel_ucq_answers
 from .structure import A, Node, Structure, T
 
 
@@ -109,9 +111,9 @@ def _probe_coverage(session, one_cq: OneCQ) -> ProbeCoverage | None:
     the previous (the E3-style increasing-depth regime measured in
     ``BENCH_decomp.json``): there the per-depth delta is the whole
     workload and warm-starting beats re-solving 2x+.  Span >= 2 probes
-    have exponentially bushy layers of *small* cactuses where the batch
-    path (pool-sharded for large layers) wins on constants, so they
-    keep it.  Cactuses also inherit the query's
+    have exponentially bushy layers of *small* cactuses where the
+    serial batch path wins on constants, so they keep it.  Cactuses
+    also inherit the query's
     decomposition width (copies glue at single nodes), so a width > 2
     query — whose pairs would all take the engine fallback one at a
     time — steps aside as well.  ``EngineConfig.probe_warmstart`` /
@@ -146,17 +148,19 @@ def _covered_by(
     bags touched by the delta re-propagate, instead of re-solving every
     coverage check from scratch at each depth.
 
-    Without one (``probe_warmstart=False``), it is a single batch
-    :func:`~repro.core.runtime.parallel_covers_any` call: small shallow
-    sets take the serial path — the target's indexes are shared across
-    the whole batch — while the exponentially large layers of a deep
-    span->=2 probe shard across the process pool.
+    Without one (``probe_warmstart=False``, or a span->=2 query), it is
+    a single serial :func:`~repro.core.homengine.covers_any` call: the
+    target's indexes are shared across the whole batch and the scan
+    stops at the first covering cactus.  The evidence pass of a span-2
+    probe makes hundreds of such calls, one per deep cactus, and a
+    process-pool round trip for each would cost several times the
+    checks themselves.
     """
     if coverage is not None:
         return coverage.covered_by_any(target, shallow, require_focus)
-    return parallel_covers_any(
+    return covers_any(
         target.structure,
-        [
+        (
             (
                 source.structure,
                 {source.root_focus: target.root_focus}
@@ -164,7 +168,7 @@ def _covered_by(
                 else None,
             )
             for source in shallow
-        ],
+        ),
         session=session,
     )
 

@@ -261,7 +261,7 @@ class EngineConfig:
     backend: str = "bitset"
     # Delta warm-start of the boundedness probe's coverage checks
     # (repro.core.decomp.ProbeCoverage).  Disabling it restores the
-    # sharded parallel_covers_any path for every coverage batch.
+    # serial covers_any batch path for every coverage batch.
     probe_warmstart: bool = True
     # shard runtime.  ``workers=None`` (the default) means the
     # machine's CPU count; an explicit value <= 1 — constructor, env or

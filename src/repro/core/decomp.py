@@ -40,7 +40,7 @@ The DP
     Wider queries run the general relational DP over the target's
     pred-indexed neighbour sets: per-bag satisfying-tuple sets,
     bottom-up semijoins, top-down witness extraction.  Counting uses
-    the standard bag-product weights, so ``count_homomorphisms`` never
+    the standard bag-product weights, so ``Session.count_homomorphisms`` never
     enumerates the (possibly exponential) hom set.
 
 On top of the DP, :class:`ProbeCoverage` makes the boundedness probe's

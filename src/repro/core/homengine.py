@@ -43,7 +43,7 @@ into swappable *backends* behind one call surface:
     target batches.  Forest-shaped queries (width <= 1 — paths, trees,
     cactuses) run a single directional bitset semijoin pass; wider
     queries run the general per-bag relational DP.  Pure python, no
-    optional dependency, and ``count_homomorphisms`` uses bag-product
+    optional dependency, and homomorphism counting uses bag-product
     counting instead of enumeration.
 
 All backends enumerate exactly the same set of homomorphisms.  The
@@ -78,7 +78,6 @@ lazily-built indexes across the whole batch.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -1007,47 +1006,6 @@ def _count_homomorphisms(
             session=session,
             budget=budget,
         )
-    )
-
-
-def count_homomorphisms(
-    source: Structure,
-    target: Structure,
-    seed: Seed | None = None,
-    restrict_image: frozenset[Node] | None = None,
-    node_filter: Callable[[Node, Node], bool] | None = None,
-    *,
-    node_domains: NodeDomains | None = None,
-    forbid: frozenset[Node] | None = None,
-    backend: str | None = None,
-    session=None,
-    budget: Budget | None = None,
-) -> int:
-    """Deprecated free-function spelling of homomorphism counting.
-
-    .. deprecated::
-        Use ``Session.count_homomorphisms(...)`` (the thin COUNT
-        wrapper) or ``Session.evaluate(q, data, semiring="count")`` —
-        counting is now the COUNT instance of the semiring surface.
-    """
-    warnings.warn(
-        "count_homomorphisms() is deprecated; use "
-        "Session.count_homomorphisms(...) or "
-        "Session.evaluate(q, data, semiring='count')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _count_homomorphisms(
-        source,
-        target,
-        seed,
-        restrict_image,
-        node_filter,
-        node_domains=node_domains,
-        forbid=forbid,
-        backend=backend,
-        session=session,
-        budget=budget,
     )
 
 

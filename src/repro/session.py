@@ -35,7 +35,6 @@ constructs a session keeps working unchanged.
 from __future__ import annotations
 
 import threading
-import warnings
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -329,7 +328,6 @@ class Session:
         backend: str | None = None,
         seed=None,
         restrict_image=None,
-        strategy: str | None = None,
     ) -> "_semiring.Evaluation":
         """Evaluate the CQ ``q`` over ``data`` under a commutative
         semiring — the unified evaluation surface.
@@ -347,28 +345,10 @@ class Session:
         budget never raises — the returned ``Evaluation`` has
         ``value=None`` and ``reason`` set (so ``.answer`` is
         UNKNOWN(reason)); ungoverned sessions always return a settled
-        value.
-
-        .. deprecated::
-            ``Session.evaluate(q, data, strategy)`` (the d-sirup
-            certain-answer procedure) moved to
-            :meth:`evaluate_dsirup`; passing a d-sirup strategy name or
-            a ``strategy=`` keyword here warns and delegates.
+        value.  A d-sirup strategy name such as ``"auto"`` is not a
+        semiring and raises :class:`~repro.core.errors.UnknownSemiring`;
+        the certain-answer procedure is :meth:`evaluate_dsirup`.
         """
-        if strategy is not None or (
-            isinstance(semiring, str)
-            and semiring in _dsirup.DSIRUP_STRATEGIES
-        ):
-            warnings.warn(
-                "Session.evaluate(q, data, strategy) is deprecated; "
-                "use Session.evaluate_dsirup(q, data, strategy) — "
-                "evaluate() now takes a semiring",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.evaluate_dsirup(
-                q, data, strategy if strategy is not None else semiring
-            )
         sr = _semiring.resolve_semiring(semiring)
         try:
             with _errors.governed_scope(self):
@@ -394,8 +374,7 @@ class Session:
         self, q: Structure, data: Structure, strategy: str = "auto"
     ):
         """Full d-sirup certain-answer evaluation with countermodel
-        bookkeeping (:func:`repro.core.dsirup.evaluate_dsirup`) — the
-        renamed former ``Session.evaluate``.
+        bookkeeping (:func:`repro.core.dsirup.evaluate_dsirup`).
 
         An *inner* structured surface: a governed budget that trips
         raises :class:`~repro.core.errors.ResourceExhausted`; use

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core.cactus import build_cactus, chain_shape
+from .core.cactus import build_cactus_from_scratch, chain_shape
 from .core.cq import OneCQ
 from .core.structure import (
     F,
@@ -183,7 +183,10 @@ def d2() -> Structure:
     answer to ``(Δ_q2, G)`` over D2 is 'yes'.
     """
     one = OneCQ.from_structure(q2())
-    return build_cactus(one, chain_shape([0, 0])).structure
+    # The session-free builder: building zoo data must not create the
+    # process default session (and freeze the REPRO_* environment of
+    # the moment into it).
+    return build_cactus_from_scratch(one, chain_shape([0, 0])).structure
 
 
 @dataclass(frozen=True)

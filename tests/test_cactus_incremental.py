@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import zoo
 from repro.core import (
     A,
     OneCQ,
@@ -242,6 +243,8 @@ class TestIncrementalMatchesScratch:
         _assert_same_cactus(q_ttf(), chain_shape([0, 1, 0, 1]))
         _assert_same_cactus(q_ttf(), full_shape(2, 3))
         _assert_same_cactus(q_gadget(), full_shape(2, 2))
+        # zoo.d2() is built from scratch and must stay the pooled cactus
+        _assert_same_cactus(zoo.one_cq(zoo.q2()), chain_shape([0, 0]))
 
     def test_whole_enumeration_matches(self):
         one_cq = q_ttf()

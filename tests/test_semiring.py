@@ -324,6 +324,13 @@ class TestEvaluateSurface:
         with pytest.raises(UnknownSemiring):
             s.evaluate(zoo.q1(), zoo.d1(), "tropical-typo")
 
+    def test_dsirup_strategy_is_not_a_semiring(self):
+        # "auto" names a d-sirup strategy: it never resolves silently
+        # as a semiring (the certain answer is Session.evaluate_dsirup).
+        s = Session()
+        with pytest.raises(UnknownSemiring):
+            s.evaluate(zoo.q2(), zoo.d2(), "auto")
+
     def test_semiring_cache_tagging(self):
         s = Session()
         q, d = zoo.q1(), zoo.d1()

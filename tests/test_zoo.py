@@ -82,6 +82,16 @@ class TestExample2:
     def test_d2_no_direct_embedding(self):
         assert not has_homomorphism(zoo.q2(), zoo.d2())
 
+    def test_d2_creates_no_default_session(self, monkeypatch):
+        # Zoo data is plain structure: building it must not create the
+        # process default session, which would freeze the REPRO_*
+        # environment of the moment for every later free-function call.
+        import repro.session
+
+        monkeypatch.setattr(repro.session, "_DEFAULT", None)
+        zoo.d2()
+        assert repro.session._DEFAULT is None
+
 
 class TestExample4:
     def test_q5_focused(self):
