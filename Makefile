@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 BENCHES := homengine cactus batch decomp semiring store service chaos
 BENCH_TARGETS := $(addprefix bench-,$(BENCHES))
 
-.PHONY: test lint fuzz bench check ci $(BENCH_TARGETS)
+.PHONY: test lint fuzz bench check perf-gates ci $(BENCH_TARGETS)
 
 ## tier-1 test suite (the gate every PR must keep green)
 test:
@@ -64,8 +64,16 @@ bench:
 check: test
 	for b in $(BENCHES); do $(PYTHON) scripts/bench_$$b.py --check || exit 1; done
 
-## everything the CI workflow runs (tests, lint, fuzz smoke, perf gates)
-ci: test lint fuzz
+## every perf gate with --check, each report written to
+## /tmp/BENCH_<name>.json (the committed files stay untouched).  A
+## failing gate is retried once: shared runners occasionally throttle a
+## round, and a genuine regression fails both attempts.
+perf-gates:
 	for b in $(BENCHES); do \
-		$(PYTHON) scripts/bench_$$b.py --check --output /tmp/BENCH_$$b.json || exit 1; \
+		$(PYTHON) scripts/bench_$$b.py --check --output /tmp/BENCH_$$b.json \
+		|| $(PYTHON) scripts/bench_$$b.py --check --output /tmp/BENCH_$$b.json \
+		|| exit 1; \
 	done
+
+## everything the CI workflow runs (tests, lint, fuzz smoke, perf gates)
+ci: test lint fuzz perf-gates

@@ -97,8 +97,8 @@ def run_incremental(one_cq: OneCQ, shapes: list) -> None:
     The factory gets a private, empty :class:`CactusState` per round:
     a factory on shared session state would adopt the previous round's
     interned structures wholesale and this would measure cache hits,
-    not construction.  The state is built from the environment so the
-    ``REPRO_CACTUS_*`` knobs still shape the measured configuration.
+    not construction.  The state is built from the environment so
+    ``REPRO_CACTUS_MAX_NODES`` still shapes the measured configuration.
     """
     factory = CactusFactory(
         one_cq, state=CactusState(EngineConfig.from_env())

@@ -9,6 +9,12 @@ and cross-checks every answer four ways:
   (silently the bitset fallback without numpy) and ``decomp``.
 * **Count agreement** — on small targets, ``count_homomorphisms``
   must agree between ``naive``, ``bitset`` and ``decomp``.
+* **Constrained agreement** — for about two cases in five, a drawn
+  ``seed``, ``restrict_image``, ``forbid`` and/or ``node_domains``
+  (the constraints the candidate masks decide, seeds into nodes that
+  may lack a query node's labels, predicates or self-loops included)
+  must give the same ``has_homomorphism`` answer under every backend,
+  and on small targets the same ``count_homomorphisms``.
 * **Serial vs parallel** — ``parallel_evaluate_batch`` over a sharded
   2-worker pool must reproduce the serial ``evaluate_batch`` answers
   bit-for-bit, and ``parallel_screen`` must reproduce the per-query
@@ -114,6 +120,35 @@ def draw_target(rng: random.Random):
         return dense_multigraph_instance(rng.randint(6, 14), seed)
     n = rng.randint(4, 28)
     return random_instance(n, rng.randint(n, 3 * n), seed)
+
+
+def draw_constraints(rng: random.Random, query, target) -> dict:
+    """Hom-call constraints for about two cases in five (empty
+    otherwise): each of a one-node seed, an image restriction, a
+    forbidden set and a one-node domain is drawn on its own.  The
+    domain goes to the seeded node half the time, so a seed can meet
+    ``forbid`` and ``node_domains`` as well as missing labels,
+    predicates or self-loops at its image."""
+    q_nodes = sorted(query.nodes, key=repr)
+    t_nodes = sorted(target.nodes, key=repr)
+    if not q_nodes or not t_nodes or rng.random() >= 0.4:
+        return {}
+
+    def subset(k_max: int) -> frozenset:
+        return frozenset(rng.sample(t_nodes, rng.randint(1, k_max)))
+
+    seeded = rng.choice(q_nodes)
+    constraints: dict = {}
+    if rng.random() < 0.6:
+        constraints["seed"] = {seeded: rng.choice(t_nodes)}
+    if rng.random() < 0.3:
+        constraints["restrict_image"] = subset(len(t_nodes))
+    if rng.random() < 0.3:
+        constraints["forbid"] = subset(max(1, len(t_nodes) // 3))
+    if rng.random() < 0.3:
+        x = seeded if rng.random() < 0.5 else rng.choice(q_nodes)
+        constraints["node_domains"] = {x: subset(len(t_nodes))}
+    return constraints
 
 
 def report(case_seed: int, what: str, query, target, detail: str) -> None:
@@ -247,6 +282,38 @@ def main() -> int:
         if len(set(answers.values())) != 1:
             report(case_seed, "has_homomorphism", query, target, repr(answers))
             return 1
+
+        # Drawn from a stream of its own, so the other legs see the
+        # same cases as without this one.
+        constraints = draw_constraints(
+            random.Random(case_seed + 1), query, target
+        )
+        if constraints:
+            got = {
+                b: sessions[b].has_homomorphism(query, target, **constraints)
+                for b in BACKENDS
+            }
+            checks += len(BACKENDS)
+            if len(set(got.values())) != 1:
+                report(
+                    case_seed, "constrained has_homomorphism", query,
+                    target, f"{constraints!r}: {got!r}",
+                )
+                return 1
+            if len(target.nodes) <= 12:
+                got = {
+                    b: sessions[b].count_homomorphisms(
+                        query, target, **constraints
+                    )
+                    for b in BACKENDS
+                }
+                checks += len(BACKENDS)
+                if len(set(got.values())) != 1:
+                    report(
+                        case_seed, "constrained count_homomorphisms",
+                        query, target, f"{constraints!r}: {got!r}",
+                    )
+                    return 1
 
         if len(target.nodes) <= 12:
             counts = {

@@ -184,11 +184,7 @@ def _probe_ckpt(session, one_cq, probe_depth, require_focus, max_cactuses):
 
         session = default_session()
     store = getattr(session, "store", None)
-    if (
-        store is None
-        or not store.enabled
-        or not session.config.durable_checkpoints
-    ):
+    if store is None or not store.enabled:
         return None
     from .store import op_digest
 

@@ -396,13 +396,17 @@ Path = tuple  # bud-index path from the root to a segment
 # objects a later UCQ rewriting returns.
 
 
+# LRU bounds of that state: pooled factories (queries) per session,
+# materialised cactuses per factory, interned structures per session.
+FACTORY_POOL_SIZE = 32
+CACTUS_CACHE_SIZE = 20000
+STRUCTURE_INTERN_SIZE = 4096
+
+
 class CactusState:
     """The mutable cactus-construction state of one session."""
 
     def __init__(self, config: EngineConfig) -> None:
-        self.factory_pool_size = config.factory_pool_size
-        self.cactus_cache_size = config.cactus_cache_size
-        self.intern_size = config.structure_intern_size
         self.max_nodes = config.cactus_max_nodes
         self._factories: OrderedDict[OneCQ, CactusFactory] = OrderedDict()
         self._intern: OrderedDict[tuple, Structure] = OrderedDict()
@@ -413,7 +417,7 @@ class CactusState:
         if factory is None:
             factory = CactusFactory(one_cq, state=self)
             self._factories[one_cq] = factory
-            while len(self._factories) > self.factory_pool_size:
+            while len(self._factories) > FACTORY_POOL_SIZE:
                 self._factories.popitem(last=False)
         else:
             self._factories.move_to_end(one_cq)
@@ -431,7 +435,7 @@ class CactusState:
         self, factory_key: tuple, shape: Shape, structure: Structure
     ) -> None:
         self._intern[(factory_key, shape)] = structure
-        while len(self._intern) > self.intern_size:
+        while len(self._intern) > STRUCTURE_INTERN_SIZE:
             self._intern.popitem(last=False)
 
     def clear_intern(self) -> None:
@@ -483,7 +487,7 @@ class CactusFactory:
         # The owning session's cactus state (intern table + LRU bounds);
         # a factory built bare binds the default session's on first use.
         self._state = state
-        # Shape -> Cactus, LRU-bounded (EngineConfig.cactus_cache_size):
+        # Shape -> Cactus, LRU-bounded (CACTUS_CACHE_SIZE):
         # an open-ended probe of a span >= 2 query would otherwise
         # retain an exponential-in-depth number of materialised
         # cactuses for the life of the pooled factory.  Evicting a
@@ -621,7 +625,7 @@ class CactusFactory:
             cover_delta=cover_delta,
         )
         self._cactuses[shape] = cactus
-        while len(self._cactuses) > state.cactus_cache_size:
+        while len(self._cactuses) > CACTUS_CACHE_SIZE:
             self._cactuses.popitem(last=False)
         return cactus
 
@@ -710,8 +714,7 @@ class CactusFactory:
 
 def cactus_factory(one_cq: OneCQ, session=None) -> CactusFactory:
     """The (default) session's pooled :class:`CactusFactory` of
-    ``one_cq`` (LRU, bounded by ``EngineConfig.factory_pool_size``,
-    default 32 queries)."""
+    ``one_cq`` (LRU, bounded by :data:`FACTORY_POOL_SIZE` queries)."""
     return _state(session).factory(one_cq)
 
 

@@ -1,11 +1,11 @@
 """Engine configuration: one frozen dataclass, one env-var ingestion point.
 
-Everything tunable about the engine — hom backend, cactus factory
-pool, structure intern table, shard executor — is described by
-an immutable :class:`EngineConfig`.  A :class:`~repro.session.Session`
-owns exactly one config plus the mutable state it parameterises; the
-module-level default session is built from :meth:`EngineConfig.from_env`
-on first use.
+Everything tunable about the engine — hom backend, probe warm start,
+shard executor, resource governance, durable store, job service — is
+described by an immutable :class:`EngineConfig`.  A
+:class:`~repro.session.Session` owns exactly one config plus the
+mutable state it parameterises; the module-level default session is
+built from :meth:`EngineConfig.from_env` on first use.
 
 Precedence is ``env < config < per-call kwarg``:
 
@@ -30,7 +30,8 @@ Environment variables
     target's size and edge density).
 ``REPRO_PROBE_WARMSTART``
     Enable (default) the boundedness probe's delta warm-started
-    coverage checks; ``0`` restores the sharded batch path.
+    coverage checks; ``0`` restores the serial ``covers_any`` batch
+    path.
 ``REPRO_HOM_WORKERS`` / ``REPRO_HOM_PARALLEL_MIN``
     Shard-executor worker count (unset: CPU count; ``<= 1`` disables
     parallelism) and the batch size below which batch entry points
@@ -38,11 +39,6 @@ Environment variables
 ``REPRO_HOM_WORKER_CACHE``
     Capacity of each worker process's wire-keyed structure cache
     (default 64 structures; ``0`` disables it).
-``REPRO_CACTUS_FACTORIES`` / ``REPRO_CACTUS_CACHE_SIZE``
-    Factory-pool capacity (32 queries) and per-factory cactus LRU size
-    (20000 cactuses).
-``REPRO_CACTUS_INTERN_SIZE``
-    Capacity of the cross-factory structure intern table (4096).
 ``REPRO_DEADLINE_MS`` / ``REPRO_HOM_FUEL``
     Cooperative resource governance (unset: off).  ``deadline_ms`` is a
     wall-clock budget per governed operation; ``hom_fuel`` caps the
@@ -66,7 +62,7 @@ Environment variables
     Directory for the durable store (:mod:`repro.core.store`): decomp
     plans and screen/probe checkpoints persist there across restarts
     and are shared by pool workers.  Unset or empty (the default): no
-    disk tier.
+    disk tier, and so no checkpoint/resume.
 ``REPRO_CACHE_BYTES``
     Byte cap on the durable store file (default 256 MiB); past it the
     oldest entries are evicted FIFO.  ``0`` means uncapped.
@@ -75,10 +71,6 @@ Environment variables
     store degrades/quarantines silently and the engine recomputes.
     ``strict``: the same conditions raise
     :class:`~repro.core.errors.StoreCorruption` instead.
-``REPRO_DURABLE_CHECKPOINTS``
-    Enable (default) checkpoint/resume for ``Session.screen`` and the
-    boundedness probe when a durable store is attached; ``0`` keeps
-    the store but writes no checkpoint rows.
 ``REPRO_SERVICE_HOST`` / ``REPRO_SERVICE_PORT``
     Bind address of the job service (:mod:`repro.service`); default
     ``127.0.0.1:8765``.  Port ``0`` binds an ephemeral port (printed
@@ -269,10 +261,6 @@ class EngineConfig:
     workers: int | None = None
     parallel_min: int = 24
     worker_cache_size: int = 64
-    # cactus engine
-    factory_pool_size: int = 32
-    cactus_cache_size: int = 20000
-    structure_intern_size: int = 4096
     # resource governance (None = ungoverned: no deadline, no fuel cap,
     # unbounded cactuses — the historical behaviour, and the default)
     deadline_ms: int | None = None
@@ -285,12 +273,11 @@ class EngineConfig:
     shard_timeout_ms: int | None = None
     pool_cooldown_ms: int = 5000
     # durable state tier (repro.core.store).  cache_dir=None (the
-    # default) disables the disk tier entirely; durable_checkpoints
-    # additionally gates the screen/probe checkpoint rows.
+    # default) disables the disk tier entirely; with a store attached,
+    # screens and probes write checkpoint rows.
     cache_dir: str | None = None
     cache_bytes: int = 256 * 1024 * 1024
     durability: str = "best-effort"
-    durable_checkpoints: bool = True
     # Job service (repro.service).  These knobs only matter to a
     # process running `repro serve` (or embedding ServiceServer);
     # library sessions ignore them, so they ride along in the frozen
@@ -327,9 +314,6 @@ class EngineConfig:
         for name in (
             "parallel_min",
             "worker_cache_size",
-            "factory_pool_size",
-            "cactus_cache_size",
-            "structure_intern_size",
             "pool_cooldown_ms",
             "cache_bytes",
             "service_port",
@@ -411,15 +395,6 @@ class EngineConfig:
             worker_cache_size=_env_int(
                 env, "REPRO_HOM_WORKER_CACHE", defaults.worker_cache_size
             ),
-            factory_pool_size=_env_int(
-                env, "REPRO_CACTUS_FACTORIES", defaults.factory_pool_size
-            ),
-            cactus_cache_size=_env_int(
-                env, "REPRO_CACTUS_CACHE_SIZE", defaults.cactus_cache_size
-            ),
-            structure_intern_size=_env_int(
-                env, "REPRO_CACTUS_INTERN_SIZE", defaults.structure_intern_size
-            ),
             deadline_ms=_env_int(
                 env, "REPRO_DEADLINE_MS", defaults.deadline_ms
             ),
@@ -438,9 +413,6 @@ class EngineConfig:
                 env, "REPRO_CACHE_BYTES", defaults.cache_bytes
             ),
             durability=durability,
-            durable_checkpoints=_env_bool(
-                env, "REPRO_DURABLE_CHECKPOINTS", defaults.durable_checkpoints
-            ),
             service_host=env.get("REPRO_SERVICE_HOST", defaults.service_host),
             service_port=_env_int(
                 env, "REPRO_SERVICE_PORT", defaults.service_port

@@ -23,25 +23,28 @@ Decomposition
 
 Compiled plans
     :func:`decomp_plan` compiles a reusable :class:`DecompPlan` — bag
-    order, semijoin schedule, per-bag atom constraints and per-variable
-    label/predicate masks — cached on the structure *and* interned per
-    content fingerprint (bounded LRU), so a plan is built once and
-    replayed across thousands of targets in ``evaluate_batch`` /
-    ``covers_any``, and a pool worker that receives the same query over
-    the wire re-uses the plan it already compiled.
+    order, semijoin schedule, per-bag atom constraints, and the
+    per-variable label/predicate/self-loop rows of the
+    :class:`~repro.core.bitkernel.SourcePlan` — cached on the structure
+    *and* interned per content fingerprint (bounded LRU), so a plan is
+    built once and replayed across thousands of targets in
+    ``evaluate_batch`` / ``covers_any``, and a pool worker that receives
+    the same query over the wire re-uses the plan it already compiled.
 
 The DP
-    For forest-shaped queries (width ``<= 1``, the hot case) the solver
-    runs entirely on the target's
-    :class:`~repro.core.structure.BitsetIndex`: per-variable candidate
-    domains are Python-int bitsets and one *directional* semijoin pass
-    over the query's tree edges (leaves up) decides existence — no AC-3
-    re-enqueueing, no backtracking, ``O(|q| * |D|)`` bitset operations.
-    Wider queries run the general relational DP over the target's
-    pred-indexed neighbour sets: per-bag satisfying-tuple sets,
-    bottom-up semijoins, top-down witness extraction.  Counting uses
-    the standard bag-product weights, so ``Session.count_homomorphisms`` never
-    enumerates the (possibly exponential) hom set.
+    Every path starts from the candidate bitsets of
+    :func:`repro.core.bitkernel.candidate_masks`.  For forest-shaped
+    queries (width ``<= 1``, the hot case) the solver runs entirely on
+    the target's :class:`~repro.core.structure.BitsetIndex`: one
+    *directional* semijoin pass over the query's tree edges (leaves up,
+    one :func:`~repro.core.bitkernel.revise` per edge) decides existence
+    — no AC-3 re-enqueueing, no backtracking, ``O(|q| * |D|)`` bitset
+    operations.  Wider queries run the general relational DP over the
+    target's pred-indexed neighbour sets: per-bag satisfying-tuple sets,
+    bottom-up semijoins, top-down witness extraction.  Counting is the
+    COUNT instance of the semiring DP (bag-product weights), so
+    ``Session.count_homomorphisms`` never enumerates the (possibly
+    exponential) hom set.
 
 On top of the DP, :class:`ProbeCoverage` makes the boundedness probe's
 ``_covered_by`` *incremental*: a cactus ``C(d)`` extends ``C(d-1)`` by a
@@ -60,6 +63,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Iterator, Mapping
 
+from . import bitkernel
+from .semiring import COUNT
 from .structure import BinaryFact, Node, Structure, UnaryFact
 
 Seed = Mapping[Node, Node]
@@ -255,10 +260,12 @@ class DecompPlan:
 
     Everything derivable from the source alone is computed once: the
     decomposition, per-bag variable tuples (own variable first, then
-    the separator with the parent), the atoms each bag checks, the
-    per-variable label / incident-predicate requirements, and — for
-    forest-shaped queries — the directional semijoin schedule over the
-    primal spanning forest that the bitset fast path runs on.
+    the separator with the parent), the atoms each bag checks, and —
+    for forest-shaped queries — the directional semijoin schedule over
+    the primal spanning forest that the bitset fast path runs on.  The
+    per-variable label / incident-predicate / self-loop requirements
+    are the rows of the source's
+    :class:`~repro.core.bitkernel.SourcePlan`.
     """
 
     __slots__ = (
@@ -274,23 +281,16 @@ class DecompPlan:
 
     def __init__(self, source: Structure) -> None:
         td = tree_decomposition(source)
-        self.nodes = source.node_order
-        self.n = len(self.nodes)
+        sp = bitkernel.source_plan(source)
+        self.nodes = sp.nodes
+        self.n = sp.n
         self.width = td.width
         self.exact = td.exact
-        index = source.node_index
-        self.labels = [tuple(source.labels(x)) for x in self.nodes]
-        self.out_preds = [tuple(source.out_pred_set(x)) for x in self.nodes]
-        self.in_preds = [tuple(source.in_pred_set(x)) for x in self.nodes]
-        loops: list[tuple[str, ...]] = [()] * self.n
-        proper: list[tuple[int, str, int]] = []
-        for fact in source.binary_facts:
-            s, d = index[fact.src], index[fact.dst]
-            if s == d:
-                loops[s] = loops[s] + (fact.pred,)
-            else:
-                proper.append((s, fact.pred, d))
-        self.self_loops = loops
+        self.labels = sp.labels
+        self.out_preds = sp.out_preds
+        self.in_preds = sp.in_preds
+        self.self_loops = sp.self_loops
+        proper = sp.edges  # the atoms between two distinct variables
 
         # -- bag tables (the general relational DP) ---------------------
         # Bag i owns exactly the variable eliminated at step i; the
@@ -522,93 +522,35 @@ def clear_plan_intern() -> None:
 # ----------------------------------------------------------------------
 
 
-def _mask_domains(
-    plan: DecompPlan,
-    target: Structure,
-    seed: dict,
-    restrict_image,
-    node_filter,
-    node_domains,
-    forbid,
-):
-    """Per-variable candidate bitsets (the bitset backend's init, plus
-    self-loop filtering); ``None`` when some domain is empty."""
-    idx = target.bitset_index
-    target_names = idx.nodes
-    if not target_names:
-        return None
-    full = idx.full_mask
-    restrict_mask = (
-        full if restrict_image is None else idx.mask_of(restrict_image)
-    )
-    veto_mask = full
-    if forbid:
-        veto_mask &= full & ~idx.mask_of(forbid)
-    label_nodes = idx.label_nodes
-    has_out = idx.has_out
-    has_in = idx.has_in
-    domains: list[int] = [0] * plan.n
-    for i in range(plan.n):
-        x = plan.nodes[i]
-        if x in seed:
-            image = seed[x]
-            t = idx.index.get(image)
-            if t is None:
-                return None
-            if not frozenset(plan.labels[i]) <= target.labels(image):
-                return None
-            dom = 1 << t
-        else:
-            dom = restrict_mask
-            for label in plan.labels[i]:
-                dom &= label_nodes.get(label, 0)
-            for p in plan.out_preds[i]:
-                dom &= has_out.get(p, 0)
-            for p in plan.in_preds[i]:
-                dom &= has_in.get(p, 0)
-        dom &= veto_mask
-        if node_domains is not None and x in node_domains:
-            dom &= idx.mask_of(node_domains[x])
-        for p in plan.self_loops[i]:
-            smask = idx.succ.get(p)
-            if smask is None:
-                return None
-            filtered = 0
-            d = dom
-            while d:
-                bit = d & -d
-                d ^= bit
-                v = bit.bit_length() - 1
-                if (smask[v] >> v) & 1:
-                    filtered |= bit
-            dom = filtered
-        if node_filter is not None and dom:
-            filtered = 0
-            d = dom
-            while d:
-                bit = d & -d
-                d ^= bit
-                if node_filter(x, target_names[bit.bit_length() - 1]):
-                    filtered |= bit
-            dom = filtered
-        if not dom:
-            return None
-        domains[i] = dom
-    return domains, idx
-
-
-def _edge_support(idx, p: str, child_is_src: bool, v: int) -> int:
-    """Bitmask of child images compatible with parent image ``v`` under
-    one (pred, orientation) constraint of a forest edge."""
-    table = idx.pred if child_is_src else idx.succ
-    masks = table.get(p)
-    if masks is None:
-        return 0
-    return masks[v]
+def _edge_tables(plan: DecompPlan, idx) -> list:
+    """Per forest edge, indexed by its child variable: the mask table
+    whose entry ``v`` holds the child images compatible with parent
+    image ``v``.  One child image must satisfy *all* atoms of the edge,
+    so parallel atoms (R and S between the same pair, or R in both
+    directions) AND their tables first.  ``None`` for roots and for
+    edges whose predicate the target lacks (no parent image has a
+    support)."""
+    tables: list = [None] * plan.n
+    for child in range(plan.n):
+        if plan.forest_parent[child] < 0:
+            continue
+        table = None
+        for p, child_is_src in plan.forest_atoms[child]:
+            masks = (idx.pred if child_is_src else idx.succ).get(p)
+            if masks is None:
+                table = None
+                break
+            table = (
+                masks
+                if table is None
+                else [a & b for a, b in zip(table, masks)]
+            )
+        tables[child] = table
+    return tables
 
 
 def _forest_filter(
-    plan: DecompPlan, idx, domains: list[int], budget=None
+    plan: DecompPlan, tables: list, domains: list[int], budget=None
 ) -> bool:
     """One bottom-up directional semijoin pass (leaves to roots).
 
@@ -616,37 +558,24 @@ def _forest_filter(
     edge, no re-enqueueing — establishes directional arc consistency,
     which is *decisive*: a hom exists iff every domain stays non-empty.
     """
+    revise = bitkernel.revise
     for child in reversed(plan.forest_order):
         if budget is not None:
             budget.charge()  # one directional edge revision
         par = plan.forest_parent[child]
         if par < 0:
             continue
-        cdom = domains[child]
-        atoms = plan.forest_atoms[child]
-        new = 0
-        d = domains[par]
-        while d:
-            bit = d & -d
-            d ^= bit
-            v = bit.bit_length() - 1
-            # One child image must satisfy *all* atoms of the edge:
-            # parallel atoms (R and S between the same pair, or R in
-            # both directions) intersect their support masks.
-            support = cdom
-            for p, child_is_src in atoms:
-                support &= _edge_support(idx, p, child_is_src, v)
-                if not support:
-                    break
-            if support:
-                new |= bit
+        table = tables[child]
+        if table is None:
+            return False
+        new = revise(domains[par], table, domains[child])
         if not new:
             return False
         domains[par] = new
     return True
 
 
-def _iter_forest(plan: DecompPlan, idx, domains: list[int]):
+def _iter_forest(plan: DecompPlan, idx, tables: list, domains: list[int]):
     """All homomorphisms, top-down over the filtered forest domains."""
     names = idx.nodes
     order = plan.forest_order  # parents before children
@@ -662,9 +591,7 @@ def _iter_forest(plan: DecompPlan, idx, domains: list[int]):
         par = plan.forest_parent[var]
         cand = domains[var]
         if par >= 0:
-            v = assignment[par]
-            for p, child_is_src in plan.forest_atoms[var]:
-                cand &= _edge_support(idx, p, child_is_src, v)
+            cand &= tables[var][assignment[par]]
         d = cand
         while d:
             bit = d & -d
@@ -675,96 +602,15 @@ def _iter_forest(plan: DecompPlan, idx, domains: list[int]):
     yield from rec(0)
 
 
-def _count_forest(plan: DecompPlan, idx, domains: list[int]) -> int:
-    """Bag-product counting over the filtered forest domains."""
-    counts: list[dict[int, int]] = [None] * plan.n  # type: ignore
-    for var in reversed(plan.forest_order):
-        table: dict[int, int] = {}
-        children = plan.forest_children[var]
-        d = domains[var]
-        while d:
-            bit = d & -d
-            d ^= bit
-            v = bit.bit_length() - 1
-            total = 1
-            for c in children:
-                cand = domains[c]
-                for p, child_is_src in plan.forest_atoms[c]:
-                    cand &= _edge_support(idx, p, child_is_src, v)
-                sub = 0
-                cc = counts[c]
-                while cand:
-                    b2 = cand & -cand
-                    cand ^= b2
-                    sub += cc.get(b2.bit_length() - 1, 0)
-                if not sub:
-                    total = 0
-                    break
-                total *= sub
-            if total:
-                table[v] = total
-        counts[var] = table
-    result = 1
-    for var in plan.forest_order:
-        if plan.forest_parent[var] < 0:
-            result *= sum(counts[var].values())
-    return result
-
-
 # ----------------------------------------------------------------------
 # General relational DP (width >= 2, and the warm-start substrate)
 # ----------------------------------------------------------------------
 
 
-def _relational_domains(
-    plan: DecompPlan,
-    target: Structure,
-    seed: dict,
-    restrict_image,
-    node_filter,
-    node_domains,
-    forbid,
-    lenient: bool = False,
-):
-    """Per-variable candidate sets over the target's nodes.
-
-    Returns ``None`` on an empty domain unless ``lenient`` (the
-    warm-start state keeps empty domains around: a later delta may
-    repopulate them)."""
-    nodes = target.nodes
-    doms: list[set] = []
-    for i in range(plan.n):
-        x = plan.nodes[i]
-        if x in seed:
-            image = seed[x]
-            if image in nodes and frozenset(plan.labels[i]) <= target.labels(
-                image
-            ):
-                dom = {image}
-            else:
-                dom = set()
-        else:
-            req = plan.labels[i]
-            if req:
-                dom = set(target.nodes_with_label(req[0]))
-                for lab in req[1:]:
-                    dom &= target.nodes_with_label(lab)
-            else:
-                dom = set(nodes)
-            if restrict_image is not None:
-                dom &= restrict_image
-        if forbid:
-            dom -= forbid
-        if node_domains is not None and x in node_domains:
-            dom &= node_domains[x]
-        if node_filter is not None:
-            dom = {v for v in dom if node_filter(x, v)}
-        for p in plan.self_loops[i]:
-            dom = {v for v in dom if v in target.out_by_pred(v).get(p, ())}
-        if not dom and not lenient:
-            return None
-        doms.append(dom)
-    return doms
+def _node_sets(idx, masks: list[int]) -> list[set]:
+    """The relational DP's per-variable domains: candidate masks as
+    sets of target node names."""
+    return [bitkernel.mask_nodes(idx, m) for m in masks]
 
 
 def _bag_order(
@@ -850,52 +696,30 @@ def _child_key(plan: DecompPlan, c: int, tup: tuple) -> tuple:
     return tuple(tup[p] for p in plan.sep_pos_in_parent[c])
 
 
-def _solve_relational(
-    plan: DecompPlan,
-    target: Structure,
-    doms,
-    counting: bool = False,
-    budget=None,
-):
-    """Bottom-up semijoin DP; returns ``(index, weights)`` or ``None``.
+def _solve_relational(plan: DecompPlan, target: Structure, doms, budget=None):
+    """Bottom-up semijoin DP; returns ``index`` or ``None``.
 
     ``index[b]`` maps a separator key to the surviving own-variable
     images (enough for witness extraction and full enumeration, since
-    tuples sharing a key differ only in the own variable);
-    ``weights[b]`` (counting only) maps a key to the number of
-    extensions of that key over the bag's subtree.
+    tuples sharing a key differ only in the own variable).
     """
     nbags = len(plan.bag_vars)
     index: list[dict] = [None] * nbags  # type: ignore
-    weights: list[dict] = [None] * nbags if counting else None  # type: ignore
     for b in range(nbags):  # ascending = children before parents
         order = _bag_order(plan, b, doms, frozenset())
         surv: dict[tuple, list] = {}
-        wts: dict[tuple, int] = {} if counting else None
         for tup in _enum_bag(plan, b, doms, target, order):
             if budget is not None:
                 budget.charge()  # one semijoin tuple consumed
-            w = 1
-            dead = False
             for c in plan.bag_children[b]:
-                key = _child_key(plan, c, tup)
-                if key not in index[c]:
-                    dead = True
+                if _child_key(plan, c, tup) not in index[c]:
                     break
-                if counting:
-                    w *= weights[c][key]
-            if dead:
-                continue
-            sep = tup[1:]
-            surv.setdefault(sep, []).append(tup[0])
-            if counting:
-                wts[sep] = wts.get(sep, 0) + w
+            else:
+                surv.setdefault(tup[1:], []).append(tup[0])
         if not surv:
             return None
         index[b] = surv
-        if counting:
-            weights[b] = wts
-    return index, weights
+    return index
 
 
 def _iter_relational(plan: DecompPlan, index: list[dict]):
@@ -942,28 +766,20 @@ def _iter_decomp(
     if plan.n == 0:
         yield {}
         return
-    if plan.forest_order is not None:
-        prepared = _mask_domains(
-            plan, target, seed, restrict_image, node_filter,
-            node_domains, forbid,
-        )
-        if prepared is None:
-            return
-        domains, idx = prepared
-        if not _forest_filter(plan, idx, domains, budget):
-            return
-        yield from _iter_forest(plan, idx, domains)
-        return
-    doms = _relational_domains(
-        plan, target, seed, restrict_image, node_filter,
-        node_domains, forbid,
+    masks = bitkernel.candidate_masks(
+        plan, target, seed, restrict_image, node_filter, node_domains, forbid
     )
-    if doms is None:
+    if masks is None:
         return
-    solved = _solve_relational(plan, target, doms, budget=budget)
-    if solved is None:
+    idx = target.bitset_index
+    if plan.forest_order is not None:
+        tables = _edge_tables(plan, idx)
+        if _forest_filter(plan, tables, masks, budget):
+            yield from _iter_forest(plan, idx, tables, masks)
         return
-    yield from _iter_relational(plan, solved[0])
+    index = _solve_relational(plan, target, _node_sets(idx, masks), budget)
+    if index is not None:
+        yield from _iter_relational(plan, index)
 
 
 def count_decomp(
@@ -976,62 +792,37 @@ def count_decomp(
     forbid,
     budget=None,
 ) -> int:
-    """The hom count via bag-product counting — the DP multiplies
-    per-bag extension counts instead of enumerating the hom set, so
-    counting costs one bottom-up pass even when the count is
+    """The hom count: :func:`semiring_decomp` over COUNT, whose DP
+    multiplies per-bag extension counts instead of enumerating the hom
+    set, so counting costs one bottom-up pass even when the count is
     astronomically large."""
-    plan = decomp_plan(source)
-    if plan.n == 0:
-        return 1
-    if plan.forest_order is not None:
-        prepared = _mask_domains(
-            plan, target, seed, restrict_image, node_filter,
-            node_domains, forbid,
-        )
-        if prepared is None:
-            return 0
-        domains, idx = prepared
-        if not _forest_filter(plan, idx, domains, budget):
-            return 0
-        return _count_forest(plan, idx, domains)
-    doms = _relational_domains(
-        plan, target, seed, restrict_image, node_filter,
-        node_domains, forbid,
+    return semiring_decomp(
+        source, target, COUNT, None, seed, restrict_image,
+        node_filter, node_domains, forbid, budget,
     )
-    if doms is None:
-        return 0
-    solved = _solve_relational(plan, target, doms, counting=True, budget=budget)
-    if solved is None:
-        return 0
-    _index, weights = solved
-    count = 1
-    for b in plan.bag_roots:
-        count *= sum(weights[b].values())
-    return count
 
 
 # ----------------------------------------------------------------------
 # Semiring-generic DP (weighted evaluation over any commutative semiring)
 # ----------------------------------------------------------------------
 #
-# The two counting kernels above are the COUNT specialisation of the
-# functions below: bag products/sums written as ``*``/``+`` over python
-# ints become ``times``/``plus`` over an arbitrary commutative semiring,
-# and each query atom multiplies in the weight of its image fact exactly
-# once — unary labels and self-loops at the variable's own bag, proper
-# atoms at the bag they are assigned to.  Soundness needs only
-# distributivity (which every semiring has), so the arc-consistency
-# pre-filters stay: they remove candidates with no completion, i.e.
-# terms that would contribute ``zero``.  ``count_decomp`` is kept as
-# the integer fast path (no per-tuple weight lookups) and is
-# cross-checked against ``semiring_decomp(COUNT)`` in the tests.
+# Bag-product counting generalised: bag products/sums become
+# ``times``/``plus`` over an arbitrary commutative semiring, and each
+# query atom multiplies in the weight of its image fact exactly once —
+# unary labels and self-loops at the variable's own bag, proper atoms at
+# the bag they are assigned to.  Soundness needs only distributivity
+# (which every semiring has), so the arc-consistency pre-filters stay:
+# they remove candidates with no completion, i.e. terms that would
+# contribute ``zero``.  ``count_decomp`` is the COUNT instance.
 
 
 def _forest_value(
-    plan: DecompPlan, idx, domains: list[int], sr, weights, budget=None
+    plan: DecompPlan, idx, tables: list, domains: list[int], sr, weights,
+    budget=None,
 ):
-    """Bag-value DP over the filtered forest domains: the semiring
-    generalisation of :func:`_count_forest`."""
+    """Bag-value DP over the filtered forest domains: per variable and
+    candidate image, the ``⊕`` over child images of the ``⊗`` of the
+    subtree values."""
     names = idx.nodes
     weighted = weights is not None or sr.annotate_fact is not None
     zero = sr.zero
@@ -1062,9 +853,7 @@ def _forest_value(
                     )
             dead = False
             for c in children:
-                cand = domains[c]
-                for p, child_is_src in plan.forest_atoms[c]:
-                    cand &= _edge_support(idx, p, child_is_src, v)
+                cand = domains[c] & tables[c][v]
                 sub = zero
                 cc = vals[c]
                 while cand:
@@ -1102,8 +891,8 @@ def _forest_value(
 def _solve_relational_value(
     plan: DecompPlan, target: Structure, doms, sr, weights, budget=None
 ):
-    """Bottom-up semijoin value DP: the semiring generalisation of
-    :func:`_solve_relational`'s counting mode."""
+    """Bottom-up semijoin value DP: :func:`_solve_relational` with a
+    semiring value per separator key instead of the surviving images."""
     weighted = weights is not None or sr.annotate_fact is not None
     nbags = len(plan.bag_vars)
     tables: list[dict[tuple, object]] = [None] * nbags  # type: ignore
@@ -1172,29 +961,35 @@ def semiring_decomp(
     plan = decomp_plan(source)
     if plan.n == 0:
         return sr.one
-    if plan.forest_order is not None:
-        prepared = _mask_domains(
-            plan, target, seed, restrict_image, node_filter,
-            node_domains, forbid,
-        )
-        if prepared is None:
-            return sr.zero
-        domains, idx = prepared
-        if not _forest_filter(plan, idx, domains, budget):
-            return sr.zero
-        return _forest_value(plan, idx, domains, sr, weights, budget)
-    doms = _relational_domains(
-        plan, target, seed, restrict_image, node_filter,
-        node_domains, forbid,
+    masks = bitkernel.candidate_masks(
+        plan, target, seed, restrict_image, node_filter, node_domains, forbid
     )
-    if doms is None:
+    if masks is None:
         return sr.zero
-    return _solve_relational_value(plan, target, doms, sr, weights, budget)
+    idx = target.bitset_index
+    if plan.forest_order is not None:
+        tables = _edge_tables(plan, idx)
+        if not _forest_filter(plan, tables, masks, budget):
+            return sr.zero
+        return _forest_value(plan, idx, tables, masks, sr, weights, budget)
+    return _solve_relational_value(
+        plan, target, _node_sets(idx, masks), sr, weights, budget
+    )
 
 
 # ----------------------------------------------------------------------
 # Delta warm-started coverage (the boundedness probe's inner loop)
 # ----------------------------------------------------------------------
+
+
+def _delta_mask(idx, add_nodes, add_unary, add_binary) -> int:
+    """The target nodes an add-only delta can bring into a monotone
+    domain (:func:`~repro.core.bitkernel.base_mask`): new nodes, newly
+    labelled nodes and the carriers of new self-loops."""
+    cand = set(add_nodes)
+    cand.update(f.node for f in add_unary)
+    cand.update(f.src for f in add_binary if f.src == f.dst)
+    return idx.mask_of(cand)
 
 
 class CoverageState:
@@ -1216,9 +1011,9 @@ class CoverageState:
     ) -> "CoverageState":
         st = cls.__new__(cls)
         st.plan = plan
-        st.doms = _relational_domains(
-            plan, target, dict(seed or {}), None, None, None, None,
-            lenient=True,
+        st.doms = _node_sets(
+            target.bitset_index,
+            bitkernel.base_masks(plan, target, dict(seed or {})),
         )
         # Per-predicate edge lists drive only this cold enumeration;
         # warm extensions enumerate anchored at the delta instead, so
@@ -1324,8 +1119,6 @@ class CoverageState:
         st = self.copy()
         plan = st.plan
         seed = dict(seed or {})
-        fixed = {plan.nodes.index(x): img for x, img in seed.items()} \
-            if seed else {}
         dirty = [False] * len(plan.bag_vars)
 
         # -- kills: removed labels invalidate tuples and domain entries
@@ -1339,26 +1132,13 @@ class CoverageState:
                         st._kill_tuple(b, tup)
                     dirty[b] = True
 
-        # -- domain gains: new nodes and newly-labelled nodes
-        cand_nodes = set(add_nodes) | {f.node for f in add_unary}
-        for fact in add_binary:
-            if fact.src == fact.dst:
-                cand_nodes.add(fact.src)  # may enable a self-loop var
+        # -- domain gains: delta nodes that now qualify
+        idx = target.bitset_index
+        gain = _delta_mask(idx, add_nodes, add_unary, add_binary)
         gained: list[tuple[int, Node]] = []
-        for v in cand_nodes:
-            labs = target.labels(v)
-            for i in range(plan.n):
-                if v in st.doms[i]:
-                    continue
-                if i in fixed and v != fixed[i]:
-                    continue
-                if not frozenset(plan.labels[i]) <= labs:
-                    continue
-                if any(
-                    v not in target.out_by_pred(v).get(p, ())
-                    for p in plan.self_loops[i]
-                ):
-                    continue
+        for i in range(plan.n):
+            new = bitkernel.base_mask(plan, i, idx, seed, gain) & gain
+            for v in bitkernel.mask_nodes(idx, new) - st.doms[i]:
                 st.doms[i].add(v)
                 gained.append((i, v))
 
@@ -1406,15 +1186,15 @@ class MaskCoverageState:
         cls, plan: DecompPlan, target: Structure, seed: Seed | None
     ) -> "MaskCoverageState":
         st = cls.__new__(cls)
-        st.init_doms = _lenient_mask_domains(plan, target, seed)
+        st.init_doms = bitkernel.base_masks(plan, target, dict(seed or {}))
         st.target_order = target.node_order
         st._decide(plan, target)
         return st
 
     def _decide(self, plan: DecompPlan, target: Structure) -> None:
-        idx = target.bitset_index
+        tables = _edge_tables(plan, target.bitset_index)
         domains = list(self.init_doms)
-        self.covered = _forest_filter(plan, idx, domains) and all(domains)
+        self.covered = _forest_filter(plan, tables, domains) and all(domains)
 
     def extended(
         self,
@@ -1436,89 +1216,22 @@ class MaskCoverageState:
         st = MaskCoverageState.__new__(MaskCoverageState)
         idx = target.bitset_index
         doms = list(self.init_doms)
-        fixed = dict(seed or {})
+        seed = dict(seed or {})
         for fact in removed_unary:
             bit = 1 << idx.index[fact.node]
             for i in plan.vars_by_label.get(fact.label, ()):
                 doms[i] &= ~bit
-        cand = set(add_nodes) | {f.node for f in add_unary}
-        for fact in add_binary:
-            if fact.src == fact.dst:
-                cand.add(fact.src)  # may enable a self-loop variable
-        cand_mask = 0
-        index = idx.index
-        for v in cand:
-            cand_mask |= 1 << index[v]
-        fixed_ids = (
-            {plan.nodes.index(x) for x in fixed} if fixed else frozenset()
-        )
+        gain = _delta_mask(idx, add_nodes, add_unary, add_binary)
         # Unconstrained variables accept every node: one OR suffices.
         for i in plan.unconstrained_vars:
-            if i not in fixed_ids:
-                doms[i] |= cand_mask
-        if plan.constrained_vars:
-            for v in cand:
-                t = index[v]
-                bit = 1 << t
-                labs = target.labels(v)
-                for i in plan.constrained_vars:
-                    if doms[i] & bit:
-                        continue
-                    x = plan.nodes[i]
-                    if x in fixed and v != fixed[x]:
-                        continue
-                    if not frozenset(plan.labels[i]) <= labs:
-                        continue
-                    for p in plan.self_loops[i]:
-                        smask = idx.succ.get(p)
-                        if smask is None or not (smask[t] >> t) & 1:
-                            break
-                    else:
-                        doms[i] |= bit
+            if plan.nodes[i] not in seed:
+                doms[i] |= gain
+        for i in plan.constrained_vars:
+            doms[i] |= bitkernel.base_mask(plan, i, idx, seed, gain) & gain
         st.init_doms = doms
         st.target_order = target.node_order
         st._decide(plan, target)
         return st
-
-
-def _lenient_mask_domains(
-    plan: DecompPlan, target: Structure, seed: Seed | None
-) -> list[int]:
-    """Label/self-loop/seed candidate bitsets, *keeping* empty domains
-    (a later delta may repopulate them; the semijoin pass decides)."""
-    idx = target.bitset_index
-    seed = dict(seed or {})
-    doms: list[int] = [0] * plan.n
-    for i in range(plan.n):
-        x = plan.nodes[i]
-        if x in seed:
-            image = seed[x]
-            t = idx.index.get(image)
-            if t is None or not frozenset(plan.labels[i]) <= target.labels(
-                image
-            ):
-                continue
-            dom = 1 << t
-        else:
-            dom = idx.full_mask
-            for label in plan.labels[i]:
-                dom &= idx.label_nodes.get(label, 0)
-        for p in plan.self_loops[i]:
-            smask = idx.succ.get(p)
-            if smask is None:
-                dom = 0
-                break
-            filtered = 0
-            d = dom
-            while d:
-                bit = d & -d
-                d ^= bit
-                v = bit.bit_length() - 1
-                if (smask[v] >> v) & 1:
-                    filtered |= bit
-            dom = filtered
-        doms[i] = dom
-    return doms
 
 
 class ProbeCoverage:

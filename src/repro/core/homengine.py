@@ -17,9 +17,11 @@ into swappable *backends* behind one call surface:
 ``bitset``
     Integer-interned search over the target's
     :class:`~repro.core.structure.BitsetIndex`.  Candidate domains are
-    Python ints used as bitsets; initial domains are produced by ANDing
-    label/pred masks, tightened to arc consistency by an AC-3 pass over
-    the source edges, and maintained by forward checking (bitwise AND
+    Python ints used as bitsets, built by the shared kernel in
+    :mod:`repro.core.bitkernel` (the compiled source plan, the
+    candidate masks with self-loops applied once at init, the support
+    revise), tightened to arc consistency by an AC-3 pass over the
+    source edges, and maintained by forward checking (bitwise AND
     against precomputed adjacency masks) during a backtracking search
     with dynamic most-constrained-variable ordering.
 
@@ -41,10 +43,11 @@ into swappable *backends* behind one call surface:
     bounded-width queries, with a compiled, fingerprint-interned
     :class:`~repro.core.decomp.DecompPlan` replayed across whole
     target batches.  Forest-shaped queries (width <= 1 — paths, trees,
-    cactuses) run a single directional bitset semijoin pass; wider
-    queries run the general per-bag relational DP.  Pure python, no
-    optional dependency, and homomorphism counting uses bag-product
-    counting instead of enumeration.
+    cactuses) run a single directional bitset semijoin pass on the same
+    :mod:`~repro.core.bitkernel` masks; wider queries run the general
+    per-bag relational DP.  Pure python, no optional dependency, and
+    homomorphism counting runs the COUNT instance of the semiring DP
+    instead of enumerating.
 
 All backends enumerate exactly the same set of homomorphisms.  The
 default backend lives on a :class:`HomEngine` owned by a
@@ -81,6 +84,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import bitkernel
 from . import decomp as _decomp
 from .config import BACKEND_CHOICES, EngineConfig, choose_auto_backend
 from .config import BACKENDS as BACKENDS  # re-export: stable engine API
@@ -352,106 +356,6 @@ def _iter_naive(
 # ----------------------------------------------------------------------
 
 
-class _SourcePlan:
-    """Compiled source-side search plan, memoized per structure.
-
-    Everything derivable from the source alone — node interning, label
-    and incident-predicate requirements, adjacency lists over source
-    indices — is computed once and stashed on the structure, so repeated
-    searches from the same source (the dominant traffic shape: one CQ or
-    cactus probed against many targets) skip all of it.
-    """
-
-    __slots__ = ("nodes", "n", "labels", "out_preds", "in_preds",
-                 "out_adj", "in_adj", "edges")
-
-    def __init__(self, source: Structure) -> None:
-        self.nodes = source.node_order
-        self.n = len(self.nodes)
-        index = source.node_index
-        self.labels = [tuple(source.labels(x)) for x in self.nodes]
-        self.out_preds = [tuple(source.out_pred_set(x)) for x in self.nodes]
-        self.in_preds = [tuple(source.in_pred_set(x)) for x in self.nodes]
-        self.out_adj: list[list[tuple[str, int]]] = [[] for _ in self.nodes]
-        self.in_adj: list[list[tuple[str, int]]] = [[] for _ in self.nodes]
-        self.edges: list[tuple[int, str, int]] = []
-        for fact in source.binary_facts:
-            s, d = index[fact.src], index[fact.dst]
-            self.out_adj[s].append((fact.pred, d))
-            self.in_adj[d].append((fact.pred, s))
-            self.edges.append((s, fact.pred, d))
-
-    @classmethod
-    def extended(
-        cls,
-        base: "_SourcePlan",
-        source: Structure,
-        touched: frozenset[Node],
-        added_binary: tuple,
-    ) -> "_SourcePlan":
-        """Derive the plan of an ``Structure.extended`` result from its
-        base's plan: node ids are a superset (extension appends to the
-        interning order), so only the delta's rows are recomputed."""
-        plan = cls.__new__(cls)
-        plan.nodes = source.node_order
-        plan.n = len(plan.nodes)
-        index = source.node_index
-        pad = plan.n - base.n
-        plan.labels = base.labels + [()] * pad
-        plan.out_preds = base.out_preds + [()] * pad
-        plan.in_preds = base.in_preds + [()] * pad
-        for x in touched:
-            i = index[x]
-            plan.labels[i] = tuple(source.labels(x))
-            plan.out_preds[i] = tuple(source.out_pred_set(x))
-            plan.in_preds[i] = tuple(source.in_pred_set(x))
-        out_adj = base.out_adj + [[] for _ in range(pad)]
-        in_adj = base.in_adj + [[] for _ in range(pad)]
-        edges = base.edges + []
-        fresh_out = set(range(base.n, plan.n))
-        fresh_in = set(fresh_out)
-        for fact in added_binary:
-            s, d = index[fact.src], index[fact.dst]
-            if s not in fresh_out:
-                out_adj[s] = list(out_adj[s])
-                fresh_out.add(s)
-            if d not in fresh_in:
-                in_adj[d] = list(in_adj[d])
-                fresh_in.add(d)
-            out_adj[s].append((fact.pred, d))
-            in_adj[d].append((fact.pred, s))
-            edges.append((s, fact.pred, d))
-        plan.out_adj = out_adj
-        plan.in_adj = in_adj
-        plan.edges = edges
-        return plan
-
-
-def _source_plan(source: Structure) -> _SourcePlan:
-    plan = source._engine_plan
-    if plan is None:
-        hint = source._extend_hint
-        if hint is not None:
-            base, touched, added_binary = hint
-            base_plan = base._engine_plan
-            # Reusable whenever the base compiled a plan: the base plan
-            # forced the base's order to exist, and order inheritance
-            # (eager, or lazily resolved by the node_order touch below)
-            # guarantees the id prefix the derivation relies on.
-            if base_plan is not None:
-                source.node_order  # resolve a pending lazy inheritance
-                plan = _SourcePlan.extended(
-                    base_plan, source, touched, added_binary
-                )
-        if plan is None:
-            plan = _SourcePlan(source)
-        source._engine_plan = plan
-        # The hint is consumed either way; dropping it releases the
-        # reference chain to the base structure.
-        source._extend_hint = None
-    return plan
-
-
 def _iter_bitset(
     source: Structure,
     target: Structure,
@@ -462,75 +366,33 @@ def _iter_bitset(
     forbid: frozenset[Node] | None,
     budget: Budget | None = None,
 ) -> Iterator[dict[Node, Node]]:
-    plan = _source_plan(source)
+    plan = bitkernel.source_plan(source)
     n = plan.n
     if n == 0:
         yield {}
         return
+    domains = bitkernel.candidate_masks(
+        plan, target, seed, restrict_image, node_filter, node_domains, forbid
+    )
+    if domains is None:
+        return
     idx = target.bitset_index
     target_names = idx.nodes
-    if not target_names:
-        return
-    full = idx.full_mask
-    restrict_mask = (
-        full if restrict_image is None else idx.mask_of(restrict_image)
-    )
-    veto_mask = full
-    if forbid:
-        veto_mask &= full & ~idx.mask_of(forbid)
-
-    label_nodes = idx.label_nodes
-    has_out = idx.has_out
-    has_in = idx.has_in
     src_nodes = plan.nodes
-
-    # --- initial domains: chained mask intersections -------------------
-    domains: list[int] = [0] * n
-    for i in range(n):
-        x = src_nodes[i]
-        if x in seed:
-            image = seed[x]
-            t = idx.index.get(image)
-            if t is None:
-                return
-            if not source.labels(x) <= target.labels(image):
-                return
-            dom = 1 << t
-        else:
-            dom = restrict_mask
-            for label in plan.labels[i]:
-                dom &= label_nodes.get(label, 0)
-            for p in plan.out_preds[i]:
-                dom &= has_out.get(p, 0)
-            for p in plan.in_preds[i]:
-                dom &= has_in.get(p, 0)
-        dom &= veto_mask
-        if node_domains is not None and x in node_domains:
-            dom &= idx.mask_of(node_domains[x])
-        if node_filter is not None and dom:
-            filtered = 0
-            d = dom
-            while d:
-                bit = d & -d
-                d ^= bit
-                if node_filter(x, target_names[bit.bit_length() - 1]):
-                    filtered |= bit
-            dom = filtered
-        if not dom:
-            return
-        domains[i] = dom
-
     succ = idx.succ
     pred = idx.pred
     edges = plan.edges
+    revise = bitkernel.revise
 
     # --- AC-3 pass over the source edges ------------------------------
+    # Self-loops are not edges here: the candidate masks applied them.
+    # Every edge predicate occurs in the target (a variable's domain is
+    # empty otherwise), so the mask tables below exist.
     if edges:
         watchers: dict[int, list[int]] = {}
         for ei, (xi, _, yi) in enumerate(edges):
             watchers.setdefault(xi, []).append(ei)
-            if yi != xi:
-                watchers.setdefault(yi, []).append(ei)
+            watchers.setdefault(yi, []).append(ei)
         queue = deque(range(len(edges)))
         queued = set(queue)
         while queue:
@@ -539,58 +401,26 @@ def _iter_bitset(
             ei = queue.popleft()
             queued.discard(ei)
             xi, p, yi = edges[ei]
-            smask = succ.get(p)
-            if smask is None:
-                return  # seeded node with a predicate absent from target
+            dx, dy = domains[xi], domains[yi]
+            newx = revise(dx, succ[p], dy)
+            if not newx:
+                return
+            newy = revise(dy, pred[p], newx)
+            if not newy:
+                return
             changed: list[int] = []
-            if xi == yi:
-                dom = domains[xi]
-                new = 0
-                d = dom
-                while d:
-                    bit = d & -d
-                    d ^= bit
-                    v = bit.bit_length() - 1
-                    if (smask[v] >> v) & 1:
-                        new |= bit
-                if not new:
-                    return
-                if new != dom:
-                    domains[xi] = new
-                    changed.append(xi)
-            else:
-                pmask = pred[p]
-                dx, dy = domains[xi], domains[yi]
-                newx = 0
-                d = dx
-                while d:
-                    bit = d & -d
-                    d ^= bit
-                    if smask[bit.bit_length() - 1] & dy:
-                        newx |= bit
-                if not newx:
-                    return
-                newy = 0
-                d = dy
-                while d:
-                    bit = d & -d
-                    d ^= bit
-                    if pmask[bit.bit_length() - 1] & newx:
-                        newy |= bit
-                if not newy:
-                    return
-                if newx != dx:
-                    domains[xi] = newx
-                    changed.append(xi)
-                if newy != dy:
-                    domains[yi] = newy
-                    changed.append(yi)
+            if newx != dx:
+                domains[xi] = newx
+                changed.append(xi)
+            if newy != dy:
+                domains[yi] = newy
+                changed.append(yi)
             # Re-enqueue every edge watching a changed node, including
             # the edge just processed: newx was filtered against the old
             # dy, so a shrink of dy can leave newx with unsupported
             # values that only another revision of this edge removes.
             for z in changed:
-                for ej in watchers.get(z, ()):
+                for ej in watchers[z]:
                     if ej not in queued:
                         queue.append(ej)
                         queued.add(ej)
@@ -635,7 +465,7 @@ def _iter_bitset(
             ok = True
             for p, yi in out_adj[xi]:
                 if not (rest >> yi) & 1:
-                    continue  # assigned (consistent by construction) or xi
+                    continue  # assigned: consistent by construction
                 nd = new[yi] & succ[p][v]
                 if not nd:
                     ok = False
@@ -682,7 +512,7 @@ def _iter_matrix(
             node_filter, node_domains, forbid, budget,
         )
         return
-    plan = _source_plan(source)
+    plan = bitkernel.source_plan(source)
     n = plan.n
     if n == 0:
         yield {}
@@ -736,6 +566,11 @@ def _iter_matrix(
                 if vec is None:
                     return
                 dom &= vec
+        for p in plan.self_loops[i]:  # unary: the adjacency diagonal
+            mat = midx.adj.get(p)
+            if mat is None:
+                return
+            dom &= mat.diagonal()
         if veto is not None:
             dom &= veto
         if node_domains is not None and x in node_domains:
@@ -757,8 +592,7 @@ def _iter_matrix(
         watchers: dict[int, list[int]] = {}
         for ei, (xi, _, yi) in enumerate(edges):
             watchers.setdefault(xi, []).append(ei)
-            if yi != xi:
-                watchers.setdefault(yi, []).append(ei)
+            watchers.setdefault(yi, []).append(ei)
         queue = deque(range(len(edges)))
         queued = set(queue)
         while queue:
@@ -770,35 +604,27 @@ def _iter_matrix(
             mat = adj.get(p)
             if mat is None:
                 return  # seeded node with a predicate absent from target
+            dx, dy = domains[xi], domains[yi]
+            # v survives in dx iff some w in dy has an edge v -p-> w:
+            # exactly the boolean matrix-semiring product adj[p] @ dy.
+            newx = dx & (mat @ dy)
+            if not newx.any():
+                return
+            newy = dy & (adj_t[p] @ newx)
+            if not newy.any():
+                return
             changed: list[int] = []
-            if xi == yi:
-                new = domains[xi] & mat.diagonal()
-                if not new.any():
-                    return
-                if (new != domains[xi]).any():
-                    domains[xi] = new
-                    changed.append(xi)
-            else:
-                dx, dy = domains[xi], domains[yi]
-                # v survives in dx iff some w in dy has an edge v -p-> w:
-                # exactly the boolean matrix-semiring product adj[p] @ dy.
-                newx = dx & (mat @ dy)
-                if not newx.any():
-                    return
-                newy = dy & (adj_t[p] @ newx)
-                if not newy.any():
-                    return
-                if (newx != dx).any():
-                    domains[xi] = newx
-                    changed.append(xi)
-                if (newy != dy).any():
-                    domains[yi] = newy
-                    changed.append(yi)
+            if (newx != dx).any():
+                domains[xi] = newx
+                changed.append(xi)
+            if (newy != dy).any():
+                domains[yi] = newy
+                changed.append(yi)
             # Same re-enqueue discipline as the bitset backend: a shrink
             # of dy can leave newx with values only another revision of
             # this very edge removes.
             for z in changed:
-                for ej in watchers.get(z, ()):
+                for ej in watchers[z]:
                     if ej not in queued:
                         queue.append(ej)
                         queued.add(ej)
@@ -839,7 +665,7 @@ def _iter_matrix(
             ok = True
             for p, yi in out_adj[xi]:
                 if yi not in rest_set:
-                    continue  # assigned (consistent by construction) or xi
+                    continue  # assigned: consistent by construction
                 row = domains[yi]
                 nd = row & adj[p][v]
                 if not nd.any():
@@ -1057,13 +883,15 @@ def _matrix_forest_value(
     plan = _decomp.decomp_plan(source)
     if plan.n == 0:
         return sr.one
-    prepared = _decomp._mask_domains(
+    domains = bitkernel.candidate_masks(
         plan, target, seed, restrict_image, None, node_domains, forbid
     )
-    if prepared is None:
+    if domains is None:
         return sr.zero
-    domains, bidx = prepared
-    if not _decomp._forest_filter(plan, bidx, domains, budget):
+    bidx = target.bitset_index
+    if not _decomp._forest_filter(
+        plan, _decomp._edge_tables(plan, bidx), domains, budget
+    ):
         return sr.zero
     midx = target.matrix_index
     n = midx.n

@@ -518,13 +518,19 @@ def _watch_parent() -> None:
     parent dies.
 
     A worker forked from an asyncio program (``repro serve``) also
-    inherits its SIGTERM handler and signal wakeup fd, so the SIGTERM
-    that :meth:`PoolRuntime.mark_failed` sends would leave the worker
-    running and reach the parent's event loop as a SIGTERM of its own
-    (a server drain).  Both are reset to the defaults here.
+    inherits its SIGTERM handler and signal wakeup fd.  A SIGTERM that
+    reached the worker under them — from :meth:`PoolRuntime.mark_failed`,
+    or from the executor's own clean-up, which terminates every worker
+    once one dies — would leave it running and write to the parent's
+    wakeup fd, which the parent's event loop reads as a SIGTERM of its
+    own (a server drain).  So the worker is forked with SIGTERM blocked
+    (:meth:`PoolRuntime.run_chunks` blocks it around its submits), both
+    are reset to the defaults here, and only then is SIGTERM unblocked:
+    one that arrived meanwhile now ends the worker.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     parent = os.getppid()
 
     def watch() -> None:
@@ -727,14 +733,25 @@ class PoolRuntime:
             reason: str | None = None
             futures: dict = {}
             try:
-                for i in pending:
-                    try:
-                        futures[pool.submit(worker, *args_list[i])] = i
-                    except (RuntimeError, OSError, pickle.PickleError) as exc:
-                        # submit() after a concurrent shutdown raises
-                        # RuntimeError; unpicklable args surface here too.
-                        reason = f"submit:{type(exc).__name__}"
-                        failed.append(i)
+                # The first submit forks the workers, which inherit this
+                # thread's signal mask: they start with SIGTERM blocked
+                # until _watch_parent has reset the handler.
+                mask = signal.pthread_sigmask(
+                    signal.SIG_BLOCK, {signal.SIGTERM}
+                )
+                try:
+                    for i in pending:
+                        try:
+                            futures[pool.submit(worker, *args_list[i])] = i
+                        except (
+                            RuntimeError, OSError, pickle.PickleError
+                        ) as exc:
+                            # submit() after a concurrent shutdown raises
+                            # RuntimeError; unpicklable args surface too.
+                            reason = f"submit:{type(exc).__name__}"
+                            failed.append(i)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 outstanding = set(futures)
                 while outstanding:
                     done, outstanding = wait(
@@ -1103,11 +1120,7 @@ def _screen_ckpt(session, queries, instances, wire_backend):
 
         session = default_session()
     store = getattr(session, "store", None)
-    if (
-        store is None
-        or not store.enabled
-        or not session.config.durable_checkpoints
-    ):
+    if store is None or not store.enabled:
         return None, {}
     from .store import op_digest
 
@@ -1205,13 +1218,12 @@ def parallel_screen_stream(
     every later answer is ``Answer.unknown(reason)``.  A governed
     worker chunk gets a budget of its own.
 
-    With a durable store attached (``cache_dir`` +
-    ``durable_checkpoints``), previously settled instance columns are
-    yielded first as synthesized shards (no recompute), and every fully
-    settled column is checkpointed as its shard lands: a process killed
-    mid-screen — or a governed screen whose budget tripped partway —
-    resumes on the next identical call, recomputing only the unsettled
-    instances.
+    With a durable store attached (``cache_dir``), previously settled
+    instance columns are yielded first as synthesized shards (no
+    recompute), and every fully settled column is checkpointed as its
+    shard lands: a process killed mid-screen — or a governed screen
+    whose budget tripped partway — resumes on the next identical call,
+    recomputing only the unsettled instances.
     """
     rt = _runtime(session)
     wire_backend, wire_config = _worker_opts(session, backend)

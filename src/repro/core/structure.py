@@ -446,7 +446,7 @@ class Structure:
         self._fingerprint: str | None = None
         self._fingerprint_int: int | None = None
         # Opaque per-structure scratch of the homomorphism engine: the
-        # compiled source-side search plan (see homengine._source_plan),
+        # compiled source-side search plan (see bitkernel.source_plan),
         # the tree decomposition of the primal graph and the compiled
         # decomposition-DP plan (see repro.core.decomp).
         self._engine_plan = None

@@ -43,7 +43,7 @@ from repro.core import (
     ucq_certain_answers,
     ucq_rewriting,
 )
-from repro.core import homengine
+from repro.core import bitkernel
 from repro.core.boundedness import probe_family_boundedness
 from repro.core.structure import BinaryFact, BitsetIndex, UnaryFact
 from repro.workloads import instance_family, random_instance
@@ -162,19 +162,22 @@ class TestStructureExtended:
     def test_source_plan_transfer_exact(self, seed):
         base, fresh, add_u, rem_u, add_b = _random_base_and_delta(seed)
         _ = base.node_order
-        homengine._source_plan(base)  # compile the base plan first
+        bitkernel.source_plan(base)  # compile the base plan first
         ext = base.extended(
             add_nodes=fresh,
             add_unary=add_u,
             add_binary=add_b,
             remove_unary=rem_u,
         )
-        plan = homengine._source_plan(ext)
-        fresh_plan = homengine._SourcePlan(ext)
+        plan = bitkernel.source_plan(ext)
+        fresh_plan = bitkernel.SourcePlan(ext)
         assert plan.nodes == fresh_plan.nodes
         assert plan.labels == fresh_plan.labels
         assert plan.out_preds == fresh_plan.out_preds
         assert plan.in_preds == fresh_plan.in_preds
+        assert [sorted(p) for p in plan.self_loops] == [
+            sorted(p) for p in fresh_plan.self_loops
+        ]
         assert sorted(plan.edges) == sorted(fresh_plan.edges)
         for mine, theirs in zip(plan.out_adj, fresh_plan.out_adj):
             assert sorted(mine) == sorted(theirs)

@@ -376,8 +376,9 @@ class TestProbeWarmStart:
 
     def test_wide_queries_keep_the_sharded_path(self):
         """Cactuses inherit the query's width, so a width > 2 query
-        would route every coverage pair through the serial engine
-        fallback — the probe keeps the sharded batch path instead."""
+        would route every coverage pair through the warm-start tier's
+        engine fallback — the probe keeps its plain batch path (one
+        serial ``covers_any`` call per coverage batch) instead."""
         from repro.core import boundedness
 
         wide = grid_query(3, 3).extended(

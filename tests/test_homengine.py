@@ -151,6 +151,30 @@ class TestCrossValidation:
             )
             assert filtered == results[0]
 
+    def test_seeded_self_loop_on_missing_predicate_maps_nowhere(self):
+        """A seeded query node whose self-loop predicate the target
+        lacks has no image, under every backend; with the loop present
+        in the target the same seed maps."""
+        q = Structure(
+            binary=[BinaryFact("S", "x", "x"), BinaryFact("R", "x", "y")]
+        )
+        d = Structure(
+            binary=[BinaryFact("R", "a", "b"), BinaryFact("R", "b", "b")]
+        )
+        looped = Structure(
+            binary=d.binary_facts | {BinaryFact("S", "a", "a")}
+        )
+        for backend in BACKENDS:
+            assert list(
+                iter_homomorphisms(q, d, seed={"x": "a"}, backend=backend)
+            ) == []
+            assert _count_homomorphisms(
+                q, d, seed={"x": "a"}, backend=backend
+            ) == 0
+            assert canon(
+                iter_homomorphisms(q, looped, seed={"x": "a"}, backend=backend)
+            ) == [(("x", "a"), ("y", "b"))]
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_property_existence_agrees(self, seed):

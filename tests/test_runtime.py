@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import pytest
 
 from repro.core import OneCQ, build_cactus, full_shape, path_structure
 from repro.core import runtime
+from repro.core.config import EngineConfig
 from repro.core.homengine import covers_any, evaluate_batch
 from repro.core.runtime import (
     configure_pool,
@@ -393,3 +395,53 @@ class TestWorkerLifecycle:
         proc.stdin.write("\n")
         proc.stdin.flush()
         assert proc.stdout.readline().strip() == "parent quiet"
+
+    def test_sigterm_during_worker_init_never_reaches_parent(
+        self, monkeypatch
+    ):
+        """A worker SIGTERMed before its initializer has reset the
+        inherited handler and wakeup fd (the executor terminates every
+        worker once one dies) must end, not write to the parent's
+        wakeup fd; the shard then settles on a rebuilt pool."""
+        original = runtime._watch_parent
+
+        def slow_init():
+            time.sleep(1.0)
+            original()
+
+        monkeypatch.setattr(runtime, "_watch_parent", slow_init)
+        read_end, write_end = os.pipe()
+        os.set_blocking(read_end, False)
+        os.set_blocking(write_end, False)
+        old_handler = signal.signal(signal.SIGTERM, lambda *_: None)
+        old_fd = signal.set_wakeup_fd(write_end)
+        rt = runtime.PoolRuntime(EngineConfig(workers=2))
+        try:
+            pool = rt.get_pool()
+
+            def terminate_in_init():
+                deadline = time.monotonic() + 10
+                while (
+                    len(pool._processes or {}) < 2
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                for proc in list(pool._processes.values()):
+                    os.kill(proc.pid, signal.SIGTERM)
+
+            killer = threading.Thread(target=terminate_in_init)
+            killer.start()
+            results = list(
+                rt.run_chunks(pool, pow, [(2, 5)], lambda r, a: True)
+            )
+            killer.join(10)
+            assert not killer.is_alive()
+            assert results == [(0, 32)]
+            with pytest.raises(BlockingIOError):
+                os.read(read_end, 16)
+        finally:
+            signal.set_wakeup_fd(old_fd)
+            signal.signal(signal.SIGTERM, old_handler)
+            rt.shutdown()
+            os.close(read_end)
+            os.close(write_end)

@@ -124,7 +124,7 @@ class TestEngineConfig:
     def test_describe_lists_every_knob(self):
         text = EngineConfig().describe()
         for field in ("backend", "workers", "parallel_min",
-                      "factory_pool_size", "effective_workers"):
+                      "cactus_max_nodes", "effective_workers"):
             assert field in text
 
     def test_env_reads_confined_to_config_module(self):
@@ -421,19 +421,19 @@ class TestWorkerWireCache:
         from repro.core import runtime
 
         config = EngineConfig(
-            backend="naive", factory_pool_size=7, worker_cache_size=3
+            backend="naive", cactus_max_nodes=7, worker_cache_size=3
         )
         shipped = config.replace(workers=1)
         session = runtime._worker_session(shipped)
-        assert session.cactus.factory_pool_size == 7
+        assert session.cactus.max_nodes == 7
         assert session.hom.default_backend == "naive"
         assert session.pool.workers == 1
         # Same config -> same worker session (and its warm caches).
         assert runtime._worker_session(shipped) is session
         # A task from a differently-configured caller swaps it out.
-        other = runtime._worker_session(shipped.replace(factory_pool_size=9))
+        other = runtime._worker_session(shipped.replace(cactus_max_nodes=9))
         assert other is not session
-        assert other.cactus.factory_pool_size == 9
+        assert other.cactus.max_nodes == 9
         # In-process worker call honours the shipped config end to end.
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])

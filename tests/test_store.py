@@ -348,20 +348,6 @@ class TestCheckpointResume:
         )
         assert warm.cactuses_examined == cold.cactuses_examined
 
-    def test_checkpoints_can_be_disabled(self, tmp_path):
-        cfg = EngineConfig(
-            cache_dir=str(tmp_path / "cache"),
-            workers=1,
-            durable_checkpoints=False,
-        )
-        with Session(cfg) as s:
-            got = s.screen(QUERIES, FAMILY)
-            stats = s.store.stats()
-        assert got == oracle_screen(QUERIES, FAMILY)
-        assert not any(
-            ns.startswith("ckpt:") for ns, _ in stats.namespaces
-        )
-
     def test_kill_9_mid_screen_then_resume(self, tmp_path, kernel_calls):
         """The acceptance scenario: SIGKILL the parent mid-screen, then
         rerun against the same cache_dir — identical answers, with the
