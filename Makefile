@@ -10,16 +10,21 @@ BENCH_TARGETS := $(addprefix bench-,$(BENCHES))
 
 .PHONY: test lint fuzz bench check perf-gates ci $(BENCH_TARGETS)
 
-## tier-1 test suite (the gate every PR must keep green)
+## tier-1 test suite (the gate every PR must keep green); the
+## slowest tests are listed at the end so CI logs show where the time
+## goes
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=15
 
 ## ruff lint (config in pyproject.toml); degrades to a syntax check
 ## when ruff is not installed (the offline dev container).  Also
 ## enforces the configuration architecture: os.environ may only be
 ## read in core/config.py (EngineConfig.from_env is the single
-## env-var ingestion point).
-lint: lint-env-gate
+## env-var ingestion point), and the default session may only be
+## looked up in core/errors.py (_resolve_session is the single
+## default-session lookup; session.py defines it, __init__.py exports
+## it).
+lint: lint-env-gate lint-session-gate
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests scripts benchmarks examples; \
 	else \
@@ -36,6 +41,17 @@ lint-env-gate:
 		exit 1; \
 	else \
 		echo "env gate: ok (environment reads confined to core/config.py)"; \
+	fi
+
+.PHONY: lint-session-gate
+lint-session-gate:
+	@hits=$$(grep -rn "default_session" src/repro --include='*.py' | grep -vE "^src/repro/(session|__init__|core/errors)\.py:"); \
+	if [ -n "$$hits" ]; then \
+		echo "session gate: default session looked up outside core/errors.py:"; \
+		echo "$$hits"; \
+		exit 1; \
+	else \
+		echo "session gate: ok (default-session lookup confined to core/errors.py)"; \
 	fi
 
 ## differential fuzz smoke: seeded cross-check of all hom backends,

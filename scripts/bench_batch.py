@@ -45,33 +45,31 @@ import sys
 import benchlib
 from benchlib import best_time, criterion, geomean, unlabelled_ditree
 
-# Measure the rebuild, not the worker-side structure cache: every
-# forked worker rebuilds its chunk from the wire in every round.
-# Setting the environment is deliberate — workers build their default
-# session from the inherited environment, and EngineConfig.from_env
-# reads it at first engine use, i.e. after these lines.
-os.environ["REPRO_HOM_WORKER_CACHE"] = "0"
-
-from repro.core.homengine import (  # noqa: E402
+from repro import EngineConfig, Session
+from repro.core import runtime
+from repro.core.homengine import (
     covers_any,
     evaluate_batch,
     has_homomorphism,
     matrix_backend_available,
 )
-from repro.core.runtime import (  # noqa: E402
-    configure_pool,
+from repro.core.runtime import (
     parallel_covers_any,
     parallel_evaluate_batch,
     parallel_screen,
-    pool_info,
-    shutdown_pool,
 )
-from repro.core.structure import path_structure  # noqa: E402
-from repro.workloads.generators import (  # noqa: E402
+from repro.core.structure import path_structure
+from repro.workloads.generators import (
     block_dag_instance,
     instance_family,
     random_instance,
 )
+
+# Measure the rebuild, not the worker-side structure cache: every
+# worker rebuilds its chunk from the wire in every round.  The workers
+# are forked from this process after this line, so they inherit the
+# disabled cache.
+runtime.WORKER_CACHE_SIZE = 0
 
 MIN_MATRIX_GEOMEAN = 2.0
 MIN_SHARDED_GEOMEAN = 2.0
@@ -175,30 +173,32 @@ def bench_sharding(rounds: int) -> dict:
     )
     serial_covers = best_time(lambda: covers_any(target, sources), rounds)
 
-    configure_pool(workers=SHARD_WORKERS, min_batch=8)
+    shard = Session(EngineConfig(workers=SHARD_WORKERS, parallel_min=8))
     # Warm the pool (fork + import cost is a one-time amortised spawn,
     # not per-batch latency) and verify agreement while at it.
     agreement = parallel_screen(
-        screen_queries, family, workers=SHARD_WORKERS
+        screen_queries, family, workers=SHARD_WORKERS, session=shard
     ) == [evaluate_batch(q, family) for q in screen_queries]
     agreement = agreement and parallel_evaluate_batch(
-        single_query, family, workers=SHARD_WORKERS
+        single_query, family, workers=SHARD_WORKERS, session=shard
     ) == evaluate_batch(single_query, family)
-    pool_ok = pool_info().running and not pool_info().broken
+    pool_ok = shard.pool_info().running and not shard.pool_info().broken
     sharded_screen = best_time(
         lambda: parallel_screen(
-            screen_queries, family, workers=SHARD_WORKERS
+            screen_queries, family, workers=SHARD_WORKERS, session=shard
         ),
         rounds,
     )
     sharded_eval = best_time(
         lambda: parallel_evaluate_batch(
-            single_query, family, workers=SHARD_WORKERS
+            single_query, family, workers=SHARD_WORKERS, session=shard
         ),
         rounds,
     )
     sharded_covers = best_time(
-        lambda: parallel_covers_any(target, sources, workers=SHARD_WORKERS),
+        lambda: parallel_covers_any(
+            target, sources, workers=SHARD_WORKERS, session=shard
+        ),
         rounds,
     )
 
@@ -209,10 +209,12 @@ def bench_sharding(rounds: int) -> dict:
         lambda: evaluate_batch(single_query, small), rounds
     )
     fallback_small = best_time(
-        lambda: parallel_evaluate_batch(single_query, small, min_batch=24),
+        lambda: parallel_evaluate_batch(
+            single_query, small, min_batch=24, session=shard
+        ),
         rounds,
     )
-    shutdown_pool()
+    shard.close()
 
     screen_speedup = serial_screen / sharded_screen
     eval_speedup = serial_eval / sharded_eval

@@ -342,11 +342,6 @@ def accepts(machine: ATM, word: Sequence[str], cells: int, max_depth: int) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _round_trip_states(prefix: str) -> dict[str, str]:
-    """OR/AND assignment for the two-phase states of the toy machines."""
-    return {f"{prefix}_or": OR, f"{prefix}_and": AND}
-
-
 def toy_accept_machine() -> ATM:
     """Accepts every input: one OR step, one AND step, then accept."""
     states = ("q_or", "q_and", "acc", "rej")

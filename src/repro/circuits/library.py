@@ -195,15 +195,6 @@ def _values_equal_const(refs: Sequence[_GroupRef], bits: Sequence[int]) -> Formu
     )
 
 
-def _values_pairwise_equal(
-    left: Sequence[_GroupRef], right: Sequence[_GroupRef]
-) -> Formula:
-    return bits_equal(
-        [ref.value_position for ref in left],
-        [ref.value_position for ref in right],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Increment / decrement equalities over bit vectors (head arithmetic)
 # ---------------------------------------------------------------------------
@@ -715,10 +706,6 @@ def _step_structure(
     return literals, variables
 
 
-def _sym_equals(positions: Sequence[int], code: int, width: int) -> Formula:
-    return equals_bits(list(positions), code)
-
-
 def _halting_consistency(
     params: EncodingParams, machine: ATM, v: _StepVars
 ) -> list[Formula]:
@@ -771,30 +758,6 @@ def _second_step_checks(
         checks.append(
             _shift_equals(v.h, h_target, hz_shift + action.move)
         )
-    return conj(checks)
-
-
-def _second_step_boundary_checks(
-    params: EncodingParams,
-    machine: ATM,
-    v: _StepVars,
-    qz: str,
-    scanned: str,
-    hz_shift: int,
-) -> Formula:
-    """Like :func:`_second_step_checks` but with the second move clamped
-    at the tape boundary reached after the first move."""
-    branches = machine.branches(qz, scanned)
-    assert branches is not None
-    checks = []
-    for child_index, (q_target, h_target) in enumerate(
-        ((v.q0, v.h0), (v.q1, v.h1))
-    ):
-        action = branches[child_index]
-        checks.append(
-            equals_bits(q_target, params.state_code(action.new_state))
-        )
-        checks.append(_shift_equals(v.h, h_target, hz_shift))
     return conj(checks)
 
 

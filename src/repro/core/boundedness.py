@@ -49,9 +49,8 @@ from typing import Sequence
 from .cactus import Cactus, iter_cactuses
 from .cq import OneCQ
 from .decomp import ProbeCoverage, query_width
-from .errors import Answer, ResourceExhausted, governed_scope
-from .homengine import evaluate_batch, evaluate_batch_governed
-from .homomorphism import covers_any
+from .errors import Answer, ResourceExhausted, _resolve_session, governed_scope
+from .homengine import covers_any, evaluate_batch, evaluate_batch_governed
 from .runtime import parallel_ucq_answers
 from .structure import A, Node, Structure, T
 
@@ -119,10 +118,6 @@ def _probe_coverage(session, one_cq: OneCQ) -> ProbeCoverage | None:
     time — steps aside as well.  ``EngineConfig.probe_warmstart`` /
     ``REPRO_PROBE_WARMSTART=0`` disables the engine outright.
     """
-    if session is None:
-        from ..session import default_session
-
-        session = default_session()
     if not session.config.probe_warmstart:
         return None
     if one_cq.span > 1:
@@ -136,7 +131,7 @@ def _covered_by(
     target: Cactus,
     shallow: list[Cactus],
     require_focus: bool,
-    session=None,
+    session,
     coverage: ProbeCoverage | None = None,
 ) -> bool:
     """Does some shallow cactus map homomorphically into ``target``?
@@ -179,11 +174,7 @@ def _probe_ckpt(session, one_cq, probe_depth, require_focus, max_cactuses):
     The namespace digests everything that pins the probe's answers —
     query fingerprint, depth, Σ-variant flag, cactus cap — so a
     resumed probe finds exactly its own rows."""
-    if session is None:
-        from ..session import default_session
-
-        session = default_session()
-    store = getattr(session, "store", None)
+    store = session.store
     if store is None or not store.enabled:
         return None
     from .store import op_digest
@@ -264,6 +255,7 @@ def probe_boundedness(
     disk.  Budget-tripped INCONCLUSIVE results are never persisted —
     they depend on the budget, not the query.
     """
+    session = _resolve_session(session)
     ckpt = _probe_ckpt(
         session, one_cq, probe_depth, require_focus, max_cactuses
     )
@@ -451,6 +443,7 @@ def ucq_certain_answers(
     ``Answer.unknown(reason)`` — a disjunct the sweep never reached
     might have flipped them.
     """
+    session = _resolve_session(session)
     if len(ucq) >= 2:
         sharded = parallel_ucq_answers(ucq, instances, session=session)
         if sharded is not None:
@@ -514,6 +507,7 @@ def probe_family_boundedness(
     exact Λ-CQ decider) can call :func:`ucq_certain_answers` on
     :func:`ucq_rewriting` directly.
     """
+    session = _resolve_session(session)
     probe = probe_boundedness(
         one_cq,
         probe_depth if probe_depth is not None else depth + 1,

@@ -50,8 +50,8 @@ from typing import Iterator, Mapping
 
 from .config import EngineConfig
 from .cq import OneCQ
-from .errors import CactusBudgetExceeded, call_budget
-from .homomorphism import covers_any, find_homomorphism
+from .errors import CactusBudgetExceeded, _resolve_session, call_budget
+from .homengine import covers_any, find_homomorphism
 from .structure import (
     A,
     BinaryFact,
@@ -446,21 +446,6 @@ class CactusState:
         self._intern.clear()
 
 
-def _state(session) -> CactusState:
-    """The :class:`CactusState` of ``session`` (default if ``None``)."""
-    if session is not None:
-        return session.cactus
-    from ..session import default_session
-
-    return default_session().cactus
-
-
-def clear_structure_intern(session=None) -> None:
-    """Drop the (default) session's interned cactus structures
-    (benchmarks call this to measure genuinely cold construction)."""
-    _state(session).clear_intern()
-
-
 class CactusFactory:
     """Incremental, pooled cactus construction for one 1-CQ.
 
@@ -501,7 +486,7 @@ class CactusFactory:
     @property
     def state(self) -> CactusState:
         if self._state is None:
-            self._state = _state(None)
+            self._state = _resolve_session(None).cactus
         return self._state
 
     @property
@@ -715,13 +700,7 @@ class CactusFactory:
 def cactus_factory(one_cq: OneCQ, session=None) -> CactusFactory:
     """The (default) session's pooled :class:`CactusFactory` of
     ``one_cq`` (LRU, bounded by :data:`FACTORY_POOL_SIZE` queries)."""
-    return _state(session).factory(one_cq)
-
-
-def clear_cactus_caches(session=None) -> None:
-    """Drop the (default) session's pooled factories (and with them all
-    cached cactuses) and its structure intern table."""
-    _state(session).clear()
+    return _resolve_session(session).cactus.factory(one_cq)
 
 
 def build_cactus(one_cq: OneCQ, shape: Shape, session=None) -> Cactus:
@@ -817,7 +796,8 @@ def iter_cactuses(
     deadline checkpoint: materialisation is coarse work), so open-ended
     enumerations stop at the deadline instead of filling memory.
     """
-    factory = factory or cactus_factory(one_cq, session)
+    session = _resolve_session(session)
+    factory = factory or session.cactus.factory(one_cq)
     budget = call_budget(session)
     produced = 0
     for shape in iter_shapes(one_cq.span, max_depth, budget):
@@ -847,6 +827,7 @@ def find_unfocused_witness(
     ``h(r) != r'``, which refutes (foc).  Returns the witness or ``None``
     if no violation exists up to the probed depth (evidence, not proof,
     of focusedness)."""
+    session = _resolve_session(session)
     cactuses = list(iter_cactuses(one_cq, max_depth, session=session))
     for source in cactuses:
         for target in cactuses:
@@ -895,6 +876,7 @@ def goal_certain_via_cactuses(
     cross-validate the datalog engine.  The cactuses stream lazily into
     one :func:`~repro.core.homengine.covers_any` batch over the data.
     """
+    session = _resolve_session(session)
     return covers_any(
         data,
         (
@@ -912,6 +894,7 @@ def sirup_certain_via_cactuses(
     the root focus landing on ``a`` (Proposition 1)."""
     if data.has_label(node, T):
         return True
+    session = _resolve_session(session)
     return covers_any(
         data,
         (

@@ -36,9 +36,6 @@ Environment variables
     Shard-executor worker count (unset: CPU count; ``<= 1`` disables
     parallelism) and the batch size below which batch entry points
     stay serial (default 24).
-``REPRO_HOM_WORKER_CACHE``
-    Capacity of each worker process's wire-keyed structure cache
-    (default 64 structures; ``0`` disables it).
 ``REPRO_DEADLINE_MS`` / ``REPRO_HOM_FUEL``
     Cooperative resource governance (unset: off).  ``deadline_ms`` is a
     wall-clock budget per governed operation; ``hom_fuel`` caps the
@@ -54,10 +51,6 @@ Environment variables
     Per-shard wall-clock timeout in the pool runtime (unset: none).  A
     shard that exceeds it is treated as a worker failure: requeued once
     on a rebuilt pool, then quarantined to in-parent serial execution.
-``REPRO_POOL_COOLDOWN_MS``
-    How long a pool that failed repeatedly stays quarantined before the
-    next large batch probes it again (default 5000); replaces the old
-    permanently-broken behaviour.
 ``REPRO_CACHE_DIR``
     Directory for the durable store (:mod:`repro.core.store`): decomp
     plans and screen/probe checkpoints persist there across restarts
@@ -260,18 +253,14 @@ class EngineConfig:
     # CLI — disables parallelism, exactly as it always has.
     workers: int | None = None
     parallel_min: int = 24
-    worker_cache_size: int = 64
     # resource governance (None = ungoverned: no deadline, no fuel cap,
     # unbounded cactuses — the historical behaviour, and the default)
     deadline_ms: int | None = None
     hom_fuel: int | None = None
     cactus_max_nodes: int | None = None
     # pool resilience.  shard_timeout_ms=None means shards may run
-    # unboundedly (a hung worker is then only caught by the deadline);
-    # pool_cooldown_ms is how long a repeatedly-failing pool stays
-    # quarantined before it is probed again.
+    # unboundedly (a hung worker is then only caught by the deadline).
     shard_timeout_ms: int | None = None
-    pool_cooldown_ms: int = 5000
     # durable state tier (repro.core.store).  cache_dir=None (the
     # default) disables the disk tier entirely; with a store attached,
     # screens and probes write checkpoint rows.
@@ -313,8 +302,6 @@ class EngineConfig:
             )
         for name in (
             "parallel_min",
-            "worker_cache_size",
-            "pool_cooldown_ms",
             "cache_bytes",
             "service_port",
             "service_queue_depth",
@@ -392,9 +379,6 @@ class EngineConfig:
             parallel_min=_env_int(
                 env, "REPRO_HOM_PARALLEL_MIN", defaults.parallel_min
             ),
-            worker_cache_size=_env_int(
-                env, "REPRO_HOM_WORKER_CACHE", defaults.worker_cache_size
-            ),
             deadline_ms=_env_int(
                 env, "REPRO_DEADLINE_MS", defaults.deadline_ms
             ),
@@ -404,9 +388,6 @@ class EngineConfig:
             ),
             shard_timeout_ms=_env_int(
                 env, "REPRO_SHARD_TIMEOUT_MS", defaults.shard_timeout_ms
-            ),
-            pool_cooldown_ms=_env_int(
-                env, "REPRO_POOL_COOLDOWN_MS", defaults.pool_cooldown_ms
             ),
             cache_dir=env.get("REPRO_CACHE_DIR") or defaults.cache_dir,
             cache_bytes=_env_int(

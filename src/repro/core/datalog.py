@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .homomorphism import iter_homomorphisms
+from .errors import _resolve_session
+from .homengine import iter_homomorphisms
 from .structure import BinaryFact, Node, Structure, UnaryFact
 
 GOAL = "G"
@@ -136,7 +137,7 @@ def _fire_rule(
     rule: Rule,
     instance: Structure,
     required_new: set[UnaryFact] | None,
-    session=None,
+    session,
 ) -> Iterator[UnaryFact | str]:
     """All head facts derivable by one rule over ``instance``.
 
@@ -174,6 +175,7 @@ def evaluate(
     part of ``data`` is never modified; IDB facts already present in the
     data (e.g. ``T`` facts feeding ``P(x) <- T(x)``) are allowed.
     """
+    session = _resolve_session(session)
     idb = program.idb_predicates
     derived: set[UnaryFact] = set()
     goals: set[str] = set()
@@ -241,6 +243,7 @@ def evaluate_bounded(
     Used to measure the recursion depth actually needed on a workload
     (the operational face of boundedness).
     """
+    session = _resolve_session(session)
     idb = program.idb_predicates
     derived: set[UnaryFact] = set()
     goals: set[str] = set()

@@ -1257,7 +1257,7 @@ class ProbeCoverage:
     MAX_RELATIONAL_STATES_PER_SOURCE = 8
     MAX_WIDTH = 2
 
-    def __init__(self, session=None) -> None:
+    def __init__(self, session) -> None:
         self._session = session
         self._chains: dict[tuple, OrderedDict[str, object]] = {}
         self._answers: dict[tuple, bool] = {}

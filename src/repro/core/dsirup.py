@@ -36,8 +36,8 @@ from typing import Iterator
 from .cactus import count_shapes, goal_certain_via_cactuses
 from .cq import OneCQ, is_one_cq
 from .datalog import GOAL, goal_holds
-from .errors import governed_scope
-from .homomorphism import has_homomorphism
+from .errors import _resolve_session, governed_scope
+from .homengine import has_homomorphism
 from .sirup import compile_programs
 from .structure import A, F, Node, Structure, T, UnaryFact
 
@@ -101,6 +101,7 @@ def evaluate_exhaustive(
     q: Structure, data: Structure, session=None
 ) -> DSirupAnswer:
     """Ground-truth semantics: check every completion."""
+    session = _resolve_session(session)
     checked = 0
     for model in iter_completions(data):
         checked += 1
@@ -124,6 +125,7 @@ def evaluate_branching(
     completion (we return the all-T one) is a countermodel — one
     homomorphism check instead of a branch-and-prune search.
     """
+    session = _resolve_session(session)
     nodes = a_nodes(data)
     if not has_homomorphism(q, maximal_completion(data), session=session):
         countermodel = complete(data, {node: T for node in nodes})
@@ -219,6 +221,7 @@ def evaluate_dsirup(
     """
     if strategy not in DSIRUP_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    session = _resolve_session(session)
     with governed_scope(session):
         if strategy == "exhaustive":
             return evaluate_exhaustive(q, data, session)
@@ -281,6 +284,7 @@ def evaluate_with_disjointness(
     """
     if not data_consistent_with_disjointness(data):
         return DSirupAnswer(True, None, 0)
+    session = _resolve_session(session)
     checked = 0
     for model in iter_disjoint_completions(data):
         checked += 1

@@ -361,6 +361,12 @@ class Budget:
 
 
 def _resolve_session(session):
+    """``session``, or the process default session when it is ``None``.
+
+    The engine's one default-session lookup: a public entry point that
+    takes ``session=None`` resolves it here once and hands the result
+    to everything below it.
+    """
     if session is not None:
         return session
     from ..session import default_session

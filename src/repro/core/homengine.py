@@ -50,12 +50,13 @@ into swappable *backends* behind one call surface:
     instead of enumerating.
 
 All backends enumerate exactly the same set of homomorphisms.  The
-default backend lives on a :class:`HomEngine` owned by a
-:class:`~repro.session.Session`; every entry point takes an explicit
-``session=`` (falling back to the module-level default session, which
-is configured from the ``REPRO_*`` environment via
-:meth:`repro.core.config.EngineConfig.from_env`) plus a per-call
-``backend=`` override.  ``backend="auto"`` — per call or as
+default backend is the ``backend`` field of the calling
+:class:`~repro.session.Session`'s frozen config; every entry point
+takes an explicit ``session=`` (falling back to the module-level
+default session, which is configured from the ``REPRO_*`` environment
+via :meth:`repro.core.config.EngineConfig.from_env`) plus a per-call
+``backend=`` override, and :func:`resolve_backend` turns the two into
+the backend one call runs.  ``backend="auto"`` — per call or as
 the session default — resolves per call from the *query's* cached
 decomposition width (tree-shaped queries route to ``decomp``) and the
 target's size and edge density (``matrix`` vs ``bitset``);
@@ -86,9 +87,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bitkernel
 from . import decomp as _decomp
-from .config import BACKEND_CHOICES, EngineConfig, choose_auto_backend
+from .config import BACKEND_CHOICES, choose_auto_backend
 from .config import BACKENDS as BACKENDS  # re-export: stable engine API
-from .errors import Budget, ResourceExhausted, call_budget
+from .errors import Budget, ResourceExhausted, _resolve_session, call_budget
 from .semiring import Evaluation, Semiring, hom_weight, resolve_semiring
 from .structure import (
     BinaryFact,
@@ -117,90 +118,41 @@ _AUTO_WIDTH_SOURCE_LIMIT = 512
 
 
 # ----------------------------------------------------------------------
-# Per-session engine state: the default backend
+# Backend resolution
 # ----------------------------------------------------------------------
 
 
-class HomEngine:
-    """The mutable hom-search state of one session: its default
-    backend choice.  Two sessions never share an instance, so
-    differently-configured engines can answer queries side by side in
-    one process.
-    """
-
-    def __init__(self, config: EngineConfig) -> None:
-        self.default_backend = config.backend
-
-    # -- backend resolution --------------------------------------------
-
-    def resolve_backend(
-        self,
-        backend: str | None,
-        target: Structure | None = None,
-        source: Structure | None = None,
-    ) -> str:
-        """The concrete backend for one call: per-call override beats
-        the session default, and ``auto`` routes on *both* sides — the
-        query's cached decomposition width (tree-shaped sources go to
-        the poly-time ``decomp`` DP) and the target's node count and
-        edge density (``matrix`` vs ``bitset``)."""
-        if backend is None:
-            backend = self.default_backend
-        elif backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected {BACKEND_CHOICES}"
-            )
-        if backend == "auto":
-            if target is None:
-                return "bitset"
-            width = None
-            if (
-                source is not None
-                and len(source.nodes) <= _AUTO_WIDTH_SOURCE_LIMIT
-            ):
-                width = _decomp.query_width(source)
-            return choose_auto_backend(
-                len(target.nodes),
-                len(target.binary_facts),
-                matrix_backend_available(),
-                width,
-            )
-        return backend
-
-    def set_default_backend(self, backend: str) -> str:
-        """Set this engine's default backend; returns the previous one."""
-        if backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected {BACKEND_CHOICES}"
-            )
-        previous = self.default_backend
-        self.default_backend = backend
-        return previous
-
-
-def _engine(session) -> HomEngine:
-    """The :class:`HomEngine` of ``session`` (default session if None)."""
-    if session is not None:
-        return session.hom
-    from ..session import default_session
-
-    return default_session().hom
-
-
-# ----------------------------------------------------------------------
-# Default-session shims (the pre-Session free-function surface)
-# ----------------------------------------------------------------------
-
-
-def get_default_backend() -> str:
-    """The default session's backend (used when a call passes neither
-    ``backend=`` nor ``session=``)."""
-    return _engine(None).default_backend
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the default session's backend; returns the previous one."""
-    return _engine(None).set_default_backend(backend)
+def resolve_backend(
+    default: str,
+    backend: str | None,
+    target: Structure | None = None,
+    source: Structure | None = None,
+) -> str:
+    """The concrete backend for one call: the per-call ``backend``
+    beats the session's ``default`` (its ``config.backend``), and
+    ``auto`` routes on *both* sides — the query's cached decomposition
+    width (tree-shaped sources go to the poly-time ``decomp`` DP) and
+    the target's node count and edge density (``matrix`` vs
+    ``bitset``)."""
+    if backend is None:
+        backend = default
+    elif backend not in BACKEND_CHOICES:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected {BACKEND_CHOICES}"
+        )
+    if backend == "auto":
+        if target is None:
+            return "bitset"
+        width = None
+        if source is not None and len(source.nodes) <= _AUTO_WIDTH_SOURCE_LIMIT:
+            width = _decomp.query_width(source)
+        return choose_auto_backend(
+            len(target.nodes),
+            len(target.binary_facts),
+            matrix_backend_available(),
+            width,
+        )
+    return backend
 
 
 # ----------------------------------------------------------------------
@@ -737,8 +689,9 @@ def iter_homomorphisms(
     ``None`` for ungoverned configs); an exhausted budget raises
     :class:`~repro.core.errors.ResourceExhausted` out of the iteration.
     """
+    session = _resolve_session(session)
     impl = _BACKEND_IMPLS[
-        _engine(session).resolve_backend(backend, target, source)
+        resolve_backend(session.config.backend, backend, target, source)
     ]
     if budget is None:
         budget = call_budget(session)
@@ -806,7 +759,10 @@ def _count_homomorphisms(
     the exact (arbitrary-precision python int) COUNT kernel behind
     :func:`semiring_evaluate` and ``Session.count_homomorphisms``.
     """
-    resolved = _engine(session).resolve_backend(backend, target, source)
+    session = _resolve_session(session)
+    resolved = resolve_backend(
+        session.config.backend, backend, target, source
+    )
     if resolved == "decomp":
         # Bag-product counting: the DP multiplies per-bag extension
         # counts in one bottom-up pass instead of enumerating the hom
@@ -1048,7 +1004,10 @@ def semiring_evaluate(
     ``Evaluation`` with ``reason`` set.
     """
     sr = resolve_semiring(semiring)
-    resolved = _engine(session).resolve_backend(backend, target, source)
+    session = _resolve_session(session)
+    resolved = resolve_backend(
+        session.config.backend, backend, target, source
+    )
     weighted = weights is not None or sr.annotate_fact is not None
     if not weighted:
         # Every hom contributes ``one``: the value is determined by
@@ -1187,6 +1146,7 @@ def covers_any(
     cover this deep one?) and of UCQ evaluation.  One budget spans the
     whole scan.
     """
+    session = _resolve_session(session)
     if budget is None:
         budget = call_budget(session)
     for structure, seed in _source_seed_pairs(sources, seeds):
@@ -1218,6 +1178,7 @@ def evaluate_batch(
     budget spans the whole batch; exhaustion raises (use
     :func:`evaluate_batch_governed` to keep partial results).
     """
+    session = _resolve_session(session)
     if budget is None:
         budget = call_budget(session)
     return [
@@ -1245,6 +1206,7 @@ def evaluate_batch_governed(
     preserves every answer computed before the budget ran out.  With an
     ungoverned session this is exactly :func:`evaluate_batch`.
     """
+    session = _resolve_session(session)
     if budget is None:
         budget = call_budget(session)
     out: list[bool | str] = []

@@ -1,57 +1,31 @@
-"""Homomorphism API for labelled-digraph structures.
+"""Homomorphism checks that need no search: verification, composition,
+cores and retractions.
 
 A homomorphism ``h : Q -> D`` maps every node of ``Q`` to a node of ``D``
 so that every unary fact ``L(x)`` of ``Q`` yields ``L(h(x))`` in ``D`` and
 every binary fact ``P(x, y)`` yields ``P(h(x), h(y))``.
 
-This module is the stable call surface; the search itself lives in
-:mod:`repro.core.homengine`, which provides pluggable backends —
-``naive`` (the original backtracker, kept as a correctness oracle),
-``bitset`` (integer-interned domains as Python-int bitsets with AC-3
-preprocessing, forward checking against precomputed adjacency masks, and
-dynamic most-constrained-variable ordering; the default), ``matrix``
-(the dense numpy variant) and ``auto`` (per-target selection) — plus
-the batch entry points :func:`~repro.core.homengine.covers_any` and
-:func:`~repro.core.homengine.evaluate_batch`.  Every entry point takes
-``session=`` to run inside an explicit
-:class:`~repro.session.Session`; without it the default session is
-used.
-
-All entry points accept arbitrary :class:`~repro.core.structure.Structure`
-values, so the same engine serves CQ evaluation, cactus-to-cactus maps,
-and the blow-up checks of the Λ-CQ decider.  They support:
-
-* optional *seeds* (partial maps that must be extended), used for the
-  paper's focused homomorphisms (``h(r) = r``) and gadget triggering,
-* ``restrict_image`` / ``forbid`` / per-node ``node_domains`` image
-  constraints (declarative), and
-* an opaque ``node_filter(x, v)`` veto callable.
+The search itself — :func:`~repro.core.homengine.find_homomorphism`,
+:func:`~repro.core.homengine.has_homomorphism`,
+:func:`~repro.core.homengine.iter_homomorphisms` and the batch entry
+points, with their pluggable backends — lives in
+:mod:`repro.core.homengine`; import it from there.  This module keeps
+:func:`is_homomorphism`, :func:`compose`, and the two helpers built on
+one search each, :func:`is_core` and :func:`retract_to_subset`, which
+run in the default session.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .homengine import (
-    Seed,
-    covers_any,
-    evaluate_batch,
-    find_homomorphism,
-    has_homomorphism,
-    iter_homomorphisms,
-)
+from . import homengine
 from .structure import Node, Structure
 
 __all__ = [
-    "Seed",
     "compose",
-    "covers_any",
-    "evaluate_batch",
-    "find_homomorphism",
-    "has_homomorphism",
     "is_core",
     "is_homomorphism",
-    "iter_homomorphisms",
     "retract_to_subset",
 ]
 
@@ -116,7 +90,9 @@ def is_core(structure: Structure) -> bool:
             continue  # unique profile: no endomorphism can drop this node
         # A hom into structure \ {node} is exactly a self-hom whose image
         # avoids node (the induced substructure carries the same facts).
-        if has_homomorphism(structure, structure, forbid=frozenset({node})):
+        if homengine.has_homomorphism(
+            structure, structure, forbid=frozenset({node})
+        ):
             return False
     return True
 
@@ -131,6 +107,6 @@ def retract_to_subset(
     # Searching structure -> structure with the dropped nodes forbidden
     # is equivalent to searching into restrict(keep), but reuses the
     # already-built indexes of ``structure``.
-    return find_homomorphism(
+    return homengine.find_homomorphism(
         structure, structure, seed=seed, forbid=frozenset(drop)
     )

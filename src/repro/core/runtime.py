@@ -19,12 +19,12 @@ serialising the lazily-built engine indexes (bitset masks, dense
 matrices, compiled source plans), which can dwarf the facts themselves.
 
 Each worker process additionally keeps a small content-keyed LRU of
-rebuilt structures (:func:`from_wire_cached`, bounded by the session's
-``worker_cache_size`` / ``REPRO_HOM_WORKER_CACHE``): the wire triple is
-itself the structure's content fingerprint in serialised form, so a
-family screened repeatedly — back-to-back :func:`parallel_screen`
-sweeps over the same instances — skips the rebuild *and* reuses every
-index the worker already built on those structures.
+rebuilt structures (:func:`from_wire_cached`, bounded by
+:data:`WORKER_CACHE_SIZE`): the wire triple is itself the structure's
+content fingerprint in serialised form, so a family screened
+repeatedly — back-to-back :func:`parallel_screen` sweeps over the same
+instances — skips the rebuild *and* reuses every index the worker
+already built on those structures.
 
 Pool
 ====
@@ -33,13 +33,14 @@ Each :class:`~repro.session.Session` owns one :class:`PoolRuntime`: a
 lazily-created :class:`~concurrent.futures.ProcessPoolExecutor` bounded
 by the session's worker count (``EngineConfig.workers``; default the
 machine's CPU count, ``<= 1`` after resolution disables parallelism).
-:func:`configure_pool` changes the worker count or the ``min_batch``
-threshold of the *default* session at runtime; :func:`shutdown_pool`
-releases its workers.  Pool creation failure (sandboxes without process
-support) permanently degrades that runtime to the serial path — never
-an error.  Every worker watches the process that spawned it and exits
-once that parent is gone, so a SIGKILLed caller leaves no idle workers
-behind.
+The config fixes the pool for the session's lifetime; a per-call
+``workers=`` or ``min_batch=`` only changes one call's sharding, and
+``Session.close`` releases the workers.  A failed pool spawn (a
+sandbox without process support) quarantines the runtime to the
+serial path for :data:`POOL_COOLDOWN_MS`, after which the next large
+batch tries again — never an error.  Every worker watches the process
+that spawned it and exits once that parent is gone, so a SIGKILLed
+caller leaves no idle workers behind.
 
 Sharded entry points
 ====================
@@ -99,6 +100,7 @@ from .errors import (
     ResourceExhausted,
     UnknownSemiring,
     WorkerFailure,
+    _resolve_session,
     call_budget,
     governed_scope,
 )
@@ -121,11 +123,18 @@ _POOL_FAILURES = (
 
 Wire = tuple  # (node_order, unary, binary) — see to_wire
 
+#: Capacity of each worker process's rebuilt-structure LRU
+#: (:func:`from_wire_cached`).
+WORKER_CACHE_SIZE = 64
+#: How long a runtime whose pool failed repeatedly (or could not be
+#: spawned) stays quarantined to the serial path before the next large
+#: batch health-probes a fresh pool.
+POOL_COOLDOWN_MS = 5000
+
 __all__ = [
     "PoolInfo",
     "PoolRuntime",
     "ScreenShard",
-    "configure_pool",
     "from_wire",
     "from_wire_cached",
     "parallel_covers_any",
@@ -134,8 +143,6 @@ __all__ = [
     "parallel_screen_stream",
     "parallel_semiring_batch",
     "parallel_ucq_answers",
-    "pool_info",
-    "shutdown_pool",
     "to_wire",
 ]
 
@@ -197,9 +204,12 @@ def from_wire(wire: Wire) -> Structure:
 _WIRE_CACHE: OrderedDict[Wire, Structure] = OrderedDict()
 
 
-def from_wire_cached(wire: Wire, limit: int) -> Structure:
-    """:func:`from_wire` through the per-process LRU (``limit <= 0``
-    bypasses the cache entirely)."""
+def from_wire_cached(wire: Wire, limit: int | None = None) -> Structure:
+    """:func:`from_wire` through the per-process LRU of ``limit``
+    structures (default :data:`WORKER_CACHE_SIZE`, read per call;
+    ``limit <= 0`` bypasses the cache entirely)."""
+    if limit is None:
+        limit = WORKER_CACHE_SIZE
     if limit <= 0:
         return from_wire(wire)
     cached = _WIRE_CACHE.get(wire)
@@ -239,7 +249,7 @@ _FAULT_ORDINAL = 0
 _FAULT_ACTION: str | None = None
 
 
-def _maybe_inject_fault(config: EngineConfig | None) -> None:
+def _maybe_inject_fault(config: EngineConfig) -> None:
     """Fire the configured fault, if this worker task is scheduled for
     one.  ``crash`` hard-exits the worker (simulating a segfault),
     ``kill`` SIGKILLs it (uncatchable — no atexit, no buffered-write
@@ -250,7 +260,7 @@ def _maybe_inject_fault(config: EngineConfig | None) -> None:
     real answers."""
     global _FAULT_ORDINAL, _FAULT_ACTION
     _FAULT_ACTION = None
-    if config is None or not config.fault_plan:
+    if not config.fault_plan:
         return
     if multiprocessing.parent_process() is None:
         return
@@ -276,14 +286,11 @@ def _take_fault() -> str | None:
     return action
 
 
-def _worker_session(config: EngineConfig | None):
+def _worker_session(config: EngineConfig):
     """The worker-side session honouring the calling session's resolved
-    config (``None`` — a task from an old-style caller — falls back to
-    the worker's env-built default session)."""
+    config."""
     global _WORKER_SESSION
     _maybe_inject_fault(config)
-    if config is None:
-        return None
     if _WORKER_SESSION is not None and _WORKER_SESSION[0] == config:
         return _WORKER_SESSION[1]
     from ..session import Session
@@ -299,8 +306,7 @@ def _worker_semiring_chunk(
     semiring_name: str,
     weights_wire: tuple | None,
     backend: str | None,
-    cache_limit: int = 0,
-    config: EngineConfig | None = None,
+    config: EngineConfig,
 ) -> "list[tuple]":
     """One semiring-tagged shard: evaluate the query over a chunk of
     instances under a named (registry-resolved) semiring.
@@ -320,7 +326,7 @@ def _worker_semiring_chunk(
         if weights_wire is None
         else {fact: sr.decode(val) for fact, val in weights_wire}
     )
-    query = from_wire_cached(query_wire, cache_limit)
+    query = from_wire_cached(query_wire)
     out: "list[tuple]" = []
     reason: str | None = None
     with governed_scope(session) as budget:
@@ -333,7 +339,7 @@ def _worker_semiring_chunk(
                     budget.checkpoint()
                 ev = homengine.semiring_evaluate(
                     query,
-                    from_wire_cached(wire, cache_limit),
+                    from_wire_cached(wire),
                     sr,
                     weights=weights,
                     backend=backend,
@@ -350,13 +356,12 @@ def _worker_ucq_chunk(
     disjunct_wires: list[Wire],
     instance_wires: list[Wire],
     backend: str | None,
-    cache_limit: int = 0,
-    config: EngineConfig | None = None,
+    config: EngineConfig,
 ) -> "list[bool | str]":
     session = _worker_session(config)
     if _take_fault() == "corrupt":
         return "corrupt"  # type: ignore[return-value]
-    disjuncts = [from_wire_cached(w, cache_limit) for w in disjunct_wires]
+    disjuncts = [from_wire_cached(w) for w in disjunct_wires]
     answers: "list[bool | str]" = []
     with governed_scope(session) as budget:
         reason: str | None = None
@@ -367,7 +372,7 @@ def _worker_ucq_chunk(
             try:
                 if budget is not None:
                     budget.checkpoint()
-                instance = from_wire_cached(wire, cache_limit)
+                instance = from_wire_cached(wire)
                 answers.append(
                     any(
                         homengine.has_homomorphism(
@@ -416,8 +421,7 @@ def _worker_screen_chunk(
     query_wires: list[Wire],
     instance_wires: list[Wire],
     backend: str | None,
-    cache_limit: int = 0,
-    config: EngineConfig | None = None,
+    config: EngineConfig,
 ) -> "list[list[bool | str]]":
     """One screen shard: the answer column of each instance in the
     chunk.  One budget per chunk task: each worker gets the full
@@ -425,8 +429,8 @@ def _worker_screen_chunk(
     session = _worker_session(config)
     if _take_fault() == "corrupt":
         return []  # wrong column count for any non-empty chunk
-    queries = [from_wire_cached(w, cache_limit) for w in query_wires]
-    instances = [from_wire_cached(w, cache_limit) for w in instance_wires]
+    queries = [from_wire_cached(w) for w in query_wires]
+    instances = [from_wire_cached(w) for w in instance_wires]
     with governed_scope(session) as budget:
         return list(
             _screen_columns(queries, instances, backend, session, budget)
@@ -437,20 +441,19 @@ def _worker_covers_chunk(
     target_wire: Wire,
     pairs: list[tuple[Wire, tuple | None]],
     backend: str | None,
-    cache_limit: int = 0,
-    config: EngineConfig | None = None,
+    config: EngineConfig,
 ) -> "bool | str":
     session = _worker_session(config)
     if _take_fault() == "corrupt":
         return None  # type: ignore[return-value]
-    target = from_wire_cached(target_wire, cache_limit)
+    target = from_wire_cached(target_wire)
     with governed_scope(session) as budget:
         try:
             for source_wire, seed_items in pairs:
                 if budget is not None:
                     budget.checkpoint()
                 if homengine.has_homomorphism(
-                    from_wire_cached(source_wire, cache_limit),
+                    from_wire_cached(source_wire),
                     target,
                     seed=dict(seed_items) if seed_items else None,
                     backend=backend,
@@ -545,16 +548,15 @@ class PoolRuntime:
     """The mutable shard-executor state of one session.
 
     Owns the (lazily created) :class:`ProcessPoolExecutor`, the
-    serial-fallback threshold, the failure bookkeeping, and the
-    worker-side cache limit shipped with every task.  Sessions never
-    share a runtime, so two differently-sized pools can coexist in one
-    process.
+    serial-fallback threshold and the failure bookkeeping.  Sessions
+    never share a runtime, so two differently-sized pools can coexist
+    in one process.
 
     Failure policy: a worker fault (crash, hang past the shard
     timeout, corrupt result, broken pool) drops the pool and requeues
     the failed shards once on a fresh one; a second consecutive
     failure *quarantines* the runtime — serial execution only — for
-    ``pool_cooldown_ms``, after which the next large batch
+    :data:`POOL_COOLDOWN_MS`, after which the next large batch
     health-probes a new pool.  Quarantine is a cooldown, not a death
     sentence: transient faults (an OOM-killed worker, a container
     hiccup) heal on their own, while a deterministically crashing
@@ -564,18 +566,16 @@ class PoolRuntime:
     def __init__(self, config: EngineConfig) -> None:
         self.workers = config.effective_workers()
         self.min_batch = config.parallel_min
-        self.worker_cache = config.worker_cache_size
         self.shard_timeout = (
             None
             if config.shard_timeout_ms is None
             else config.shard_timeout_ms / 1000.0
         )
-        self.cooldown = config.pool_cooldown_ms / 1000.0
+        self.cooldown = POOL_COOLDOWN_MS / 1000.0
         self.last_fallback: str | None = None
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_size = 0  # max_workers the live pool was created with
         self._quarantined_until: float | None = None
-        self._failures = 0  # consecutive failures since last configure
+        self._failures = 0  # consecutive failures
         _LIVE_RUNTIMES.add(self)
 
     def _quarantined(self) -> bool:
@@ -594,28 +594,6 @@ class PoolRuntime:
             self.last_fallback,
         )
 
-    def configure(
-        self, workers: int | None = None, min_batch: int | None = None
-    ) -> None:
-        """Change the worker count and/or the serial-fallback threshold.
-
-        ``workers <= 1`` disables parallelism.  An existing pool is shut
-        down when the worker count changes (the next large batch
-        respawns one); a previously failed spawn or an active
-        quarantine is cleared by reconfiguration.
-        """
-        if workers is not None and workers != self.workers:
-            self.shutdown()
-            self.workers = workers
-        if min_batch is not None:
-            self.min_batch = min_batch
-        # Any reconfiguration retries a previously failed spawn or a
-        # quarantined pool — the operator asking for a
-        # (re)configuration is the signal to try again now.
-        self._quarantined_until = None
-        self._failures = 0
-        self.last_fallback = None
-
     def shutdown(self) -> None:
         """Stop the worker processes (they respawn lazily when needed).
 
@@ -632,10 +610,9 @@ class PoolRuntime:
         """The session's executor, or ``None`` when parallelism is
         unavailable.
 
-        Always sized by the *configured* worker count: a per-call
+        Always sized by the configured worker count: a per-call
         ``workers=`` override gates the serial/parallel decision and
-        caps the chunk fan-out, but never creates or resizes the pool
-        (call :meth:`configure` for that).
+        caps the chunk fan-out, but never creates or resizes the pool.
         """
         if self.workers <= 1:
             return None
@@ -650,7 +627,6 @@ class PoolRuntime:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers, initializer=_watch_parent
                 )
-                self._pool_size = self.workers
             except (OSError, ValueError):  # no process support here
                 self._quarantine("spawn-failed")
                 return None
@@ -707,7 +683,7 @@ class PoolRuntime:
         pool = self.get_pool()
         if pool is None:
             return None, None
-        return pool, _chunk(items, min(eff_workers, self._pool_size) * 2)
+        return pool, _chunk(items, min(eff_workers, self.workers) * 2)
 
     def run_chunks(self, pool, worker, args_list, validate):
         """Run one task per argument tuple; yield ``(i, result)`` for
@@ -790,15 +766,6 @@ class PoolRuntime:
             yield i, worker(*args_list[i])
 
 
-def _runtime(session) -> PoolRuntime:
-    """The :class:`PoolRuntime` of ``session`` (default if ``None``)."""
-    if session is not None:
-        return session.pool
-    from ..session import default_session
-
-    return default_session().pool
-
-
 def _worker_opts(session, backend: str | None) -> tuple[str, EngineConfig]:
     """What shipped tasks must honour from the calling session.
 
@@ -808,14 +775,10 @@ def _worker_opts(session, backend: str | None) -> tuple[str, EngineConfig]:
     backend is the per-call override or the calling session's default
     (``"auto"`` ships as-is — workers keep resolving it per call), and
     the *full resolved* :class:`EngineConfig` ships alongside, so
-    worker sessions honour the caller's cache sizes and thresholds
-    instead of env-built defaults.  ``workers`` is forced to 1 in the
+    worker sessions honour the caller's limits and budgets instead of
+    env-built defaults.  ``workers`` is forced to 1 in the
     shipped config: a worker must never spawn a nested pool.
     """
-    if session is None:
-        from ..session import default_session
-
-        session = default_session()
     if backend is not None and backend not in BACKEND_CHOICES:
         # Validate on the parent side: a typo'd backend must raise
         # here, not fail inside every worker and burn the pool's
@@ -825,32 +788,9 @@ def _worker_opts(session, backend: str | None) -> tuple[str, EngineConfig]:
             f"unknown backend {backend!r}; expected {BACKEND_CHOICES}"
         )
     wire_backend = (
-        backend if backend is not None else session.hom.default_backend
+        backend if backend is not None else session.config.backend
     )
     return wire_backend, session.config.replace(workers=1)
-
-
-# ----------------------------------------------------------------------
-# Default-session shims (the pre-Session free-function surface)
-# ----------------------------------------------------------------------
-
-
-def pool_info(session=None) -> PoolInfo:
-    return _runtime(session).info()
-
-
-def configure_pool(
-    workers: int | None = None,
-    min_batch: int | None = None,
-    session=None,
-) -> None:
-    """Reconfigure the (default) session's shard executor."""
-    _runtime(session).configure(workers=workers, min_batch=min_batch)
-
-
-def shutdown_pool(session=None) -> None:
-    """Stop the (default) session's worker processes."""
-    _runtime(session).shutdown()
 
 
 def _chunk(items: Sequence, parts: int) -> list[list]:
@@ -942,10 +882,10 @@ def parallel_evaluate_batch(
     structures from the wire format; result order matches the input
     order.  A per-call ``workers=`` override gates the serial/parallel
     decision and caps this call's chunk fan-out; the pool itself is
-    sized by the session config (:func:`configure_pool` on the default
-    session).
+    sized by the session config.
     """
-    rt = _runtime(session)
+    session = _resolve_session(session)
+    rt = session.pool
     wire_backend, wire_config = _worker_opts(session, backend)
     instances = list(instances)
     shared: dict = {}
@@ -958,7 +898,6 @@ def parallel_evaluate_batch(
             shared["query"],
             [to_wire(s) for s in chunk],
             wire_backend,
-            rt.worker_cache,
             wire_config,
         )
 
@@ -1024,7 +963,8 @@ def parallel_semiring_batch(
     matches the outermost-surface contract: entries computed before a
     budget trips are kept, later entries carry ``reason``.
     """
-    rt = _runtime(session)
+    session = _resolve_session(session)
+    rt = session.pool
     wire_backend, wire_config = _worker_opts(session, backend)
     sr = resolve_semiring(semiring)
     instances = list(instances)
@@ -1081,7 +1021,6 @@ def parallel_semiring_batch(
             sr.name,
             weights_wire,
             wire_backend,
-            rt.worker_cache,
             wire_config,
         )
 
@@ -1115,11 +1054,7 @@ def _screen_ckpt(session, queries, instances, wire_backend):
     instance index -> settled per-query bool column; rows of the wrong
     shape (a stale or damaged checkpoint) are ignored, never trusted.
     """
-    if session is None:
-        from ..session import default_session
-
-        session = default_session()
-    store = getattr(session, "store", None)
+    store = session.store
     if store is None or not store.enabled:
         return None, {}
     from .store import op_digest
@@ -1225,7 +1160,8 @@ def parallel_screen_stream(
     whose budget tripped partway — resumes on the next identical call,
     recomputing only the unsettled instances.
     """
-    rt = _runtime(session)
+    session = _resolve_session(session)
+    rt = session.pool
     wire_backend, wire_config = _worker_opts(session, backend)
     queries = list(queries)
     instances = list(instances)
@@ -1264,7 +1200,6 @@ def parallel_screen_stream(
                     query_wires,
                     [to_wire(s) for s in instances[start:stop]],
                     wire_backend,
-                    rt.worker_cache,
                     wire_config,
                 )
                 for start, stop in runs
@@ -1322,7 +1257,8 @@ def parallel_ucq_answers(
     (:func:`repro.core.boundedness.ucq_certain_answers` keeps the
     pending-filtered sweep).
     """
-    rt = _runtime(session)
+    session = _resolve_session(session)
+    rt = session.pool
     wire_backend, wire_config = _worker_opts(session, backend)
     disjuncts = list(disjuncts)
     instances = list(instances)
@@ -1337,7 +1273,6 @@ def parallel_ucq_answers(
             shared["disjuncts"],
             [to_wire(s) for s in chunk],
             wire_backend,
-            rt.worker_cache,
             wire_config,
         )
 
@@ -1376,7 +1311,8 @@ def parallel_covers_any(
     return as soon as any chunk reports a hit, cancelling chunks that
     have not started.
     """
-    rt = _runtime(session)
+    session = _resolve_session(session)
+    rt = session.pool
     wire_backend, wire_config = _worker_opts(session, backend)
     pairs = list(homengine._source_seed_pairs(sources, seeds))
     pool, chunks = rt.shard_chunks(
@@ -1394,7 +1330,6 @@ def parallel_covers_any(
             target_wire,
             [(to_wire(s), _freeze_seed(seed)) for s, seed in chunk],
             wire_backend,
-            rt.worker_cache,
             wire_config,
         )
         for chunk in chunks

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from ..core.cq import solitary_f_nodes, solitary_t_nodes, twin_nodes
-from ..core.homomorphism import has_homomorphism
+from ..core.homengine import has_homomorphism
 from ..core.structure import F, Node, Structure, T, UnaryFact
 from .structure import DitreeCQ, is_minimal
 

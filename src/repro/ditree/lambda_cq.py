@@ -43,7 +43,8 @@ from typing import Iterator, Mapping
 
 from ..core.cactus import cactus_factory
 from ..core.cq import OneCQ
-from ..core.homomorphism import find_homomorphism, has_homomorphism
+from ..core.errors import _resolve_session
+from ..core.homengine import find_homomorphism, has_homomorphism
 from ..core.structure import Node, Structure, UnaryFact
 from .structure import DitreeCQ
 
@@ -203,6 +204,7 @@ def compute_black(
     one_cq: OneCQ, types: list[SegType], session=None
 ) -> set[SegType]:
     """Internal types whose blow-up absorbs some root segment."""
+    session = _resolve_session(session)
     k = one_cq.span
     black: set[SegType] = set()
     root_segments = [
@@ -313,7 +315,7 @@ def _cut_step_holds(
     analysis: LambdaAnalysis,
     edge: GEdge,
     prev: dict[GEdge, int],
-    session=None,
+    session,
 ) -> bool:
     """Is ``edge`` cuttable given the previous level's table?
 
@@ -388,7 +390,8 @@ def _segment_cover_exists(
     approved: set[Node],
     forbidden: Node | None,
     root: bool = False,
-    session=None,
+    *,
+    session,
 ) -> bool:
     """Does some segment copy (bud set B) map into ``target`` with its
     focus on ``focus_image``, budded leaves on ``approved`` A-nodes and
@@ -426,6 +429,7 @@ def compute_cuttable(
     analysis: LambdaAnalysis, max_depth: int = 12, session=None
 ) -> None:
     """Depth-indexed fixpoint of edge cuttability (Appendix F)."""
+    session = _resolve_session(session)
     one_cq = analysis.one_cq
     k = one_cq.span
     edges = all_edges(analysis.types, k)
@@ -526,6 +530,7 @@ def analyse(one_cq: OneCQ, session=None) -> LambdaAnalysis:
     decision run inside an explicit
     :class:`~repro.session.Session` fills that session's caches.
     """
+    session = _resolve_session(session)
     k = one_cq.span
     types = all_types(k)
     black = compute_black(one_cq, types, session)
@@ -557,6 +562,7 @@ def decide_lambda(
             True, "span 0: no budding, 𝔎_q = {q} is finite", 0
         )
 
+    session = _resolve_session(session)
     analysis = analyse(one_cq, session)
     completable = compute_completable(analysis.types, analysis.blue, k)
     infinite = compute_infinite(completable, k)
@@ -608,7 +614,7 @@ def _anchored_cover_exists(
     analysis: LambdaAnalysis,
     t0: SegType,
     extension: dict[int, SegType],
-    session=None,
+    session,
 ) -> bool:
     """Final root check: an anchored root-segment homomorphism whose
     budded leaves land on cuttable A-nodes."""

@@ -27,7 +27,7 @@ import itertools
 from typing import Iterator
 
 from ..core.dsirup import complete
-from ..core.homomorphism import has_homomorphism
+from ..core.homengine import has_homomorphism
 from ..core.structure import (
     A,
     BinaryFact,

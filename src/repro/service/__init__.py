@@ -5,8 +5,9 @@ long-running server, stdlib only.  The pieces:
 
 * :mod:`~repro.service.wire` — JSON codecs (structures, tri-state
   answers, shard frames, the shared config serializer);
-* :mod:`~repro.service.registry` — tenant → Session LRU with
-  per-tenant :class:`~repro.core.config.EngineConfig` overlays;
+* :mod:`~repro.service.registry` — tenant → Session LRU, every
+  session built from the server's
+  :class:`~repro.core.config.EngineConfig`;
 * :mod:`~repro.service.jobs` — bounded-executor job manager with
   admission control and durable ``job:v1`` records;
 * :mod:`~repro.service.server` — asyncio HTTP/1.1 + SSE front;

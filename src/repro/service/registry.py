@@ -1,13 +1,10 @@
 """Tenant → :class:`~repro.session.Session` registry with LRU eviction.
 
 Every tenant gets its own session (own cactus state, own pool, own
-governance budgets) built from the server's base
-:class:`~repro.core.config.EngineConfig` plus an optional per-tenant
-overlay — a dict of config fields validated through
-``EngineConfig.replace`` so a bad overlay fails at registration, not
-mid-job.  All tenants share the base ``cache_dir``: the durable store
-keys by operation digest, so one tenant's settled screens warm every
-tenant's disk tier.
+governance budgets) built from the server's
+:class:`~repro.core.config.EngineConfig`.  All tenants share its
+``cache_dir``: the durable store keys by operation digest, so one
+tenant's settled screens warm every tenant's disk tier.
 
 Capacity is ``config.service_tenants``; the least-recently-used
 session is evicted and closed (flushing its store buffers) when a new
@@ -38,35 +35,8 @@ class SessionRegistry:
         if self.capacity < 1:
             raise ValueError("registry capacity must be >= 1")
         self._sessions: OrderedDict[str, Session] = OrderedDict()
-        self._overlays: dict[str, dict] = {}
         self._lock = threading.Lock()
         self.evictions = 0
-
-    # -- configuration -------------------------------------------------
-
-    def config_for(self, tenant: str) -> EngineConfig:
-        """The tenant's resolved config (base + overlay, re-validated)."""
-        overlay = self._overlays.get(tenant)
-        if not overlay:
-            return self.base_config
-        return self.base_config.replace(**overlay)
-
-    def set_overlay(self, tenant: str, **fields) -> EngineConfig:
-        """Register per-tenant config overrides.
-
-        Validates eagerly (``replace`` re-runs ``__post_init__``) and
-        drops any live session for the tenant so the next job sees the
-        new knobs.  Returns the resolved config.
-        """
-        resolved = self.base_config.replace(**fields)
-        with self._lock:
-            self._overlays[tenant] = dict(fields)
-            stale = self._sessions.pop(tenant, None)
-        if stale is not None:
-            stale.close()
-        return resolved
-
-    # -- sessions ------------------------------------------------------
 
     def get(self, tenant: str) -> Session:
         """The tenant's session, creating (and possibly evicting) one."""
@@ -76,7 +46,7 @@ class SessionRegistry:
             if session is not None:
                 self._sessions.move_to_end(tenant)
                 return session
-            session = Session(self.config_for(tenant))
+            session = Session(self.base_config)
             self._sessions[tenant] = session
             while len(self._sessions) > self.capacity:
                 _, old = self._sessions.popitem(last=False)

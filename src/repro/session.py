@@ -2,11 +2,12 @@
 context for the whole engine.
 
 A session owns a frozen :class:`~repro.core.config.EngineConfig` and
-*all* mutable engine state that used to live in module globals: the hom
-backend choice (:class:`~repro.core.homengine.HomEngine`), the cactus
-factory pool and cross-factory structure intern
-(:class:`~repro.core.cactus.CactusState`), and the shard executor with
-its parallel thresholds (:class:`~repro.core.runtime.PoolRuntime`).
+*all* mutable engine state that used to live in module globals: the
+cactus factory pool and cross-factory structure intern
+(:class:`~repro.core.cactus.CactusState`), the shard executor
+(:class:`~repro.core.runtime.PoolRuntime`) and the durable store.  The
+config is the session's whole configuration: nothing re-points a live
+session, so a different backend or pool size is a different session.
 Two sessions never share state, so two differently-configured
 evaluations — say ``backend="naive"`` against ``backend="bitset"``,
 or a big pool against a serial run — can live side by side in one
@@ -24,12 +25,12 @@ the default session), an explicit config overrides it, and per-call
 keywords (``backend=``, ``workers=`` ...) override the config for one
 call.
 
-The module-level :func:`default_session` preserves the pre-Session
-behaviour: it is created lazily from the environment on first use, and
-every free function in the package (``certain_answer``, ``decide``,
-``ucq_certain_answers``, ``screen_zoo``, ``find_homomorphism``, the
-``configure_*`` knobs ...) is a thin shim over it.  Code that never
-constructs a session keeps working unchanged.
+The module-level :func:`default_session` is created lazily from the
+environment on first use.  Every engine function that takes
+``session=None`` (``certain_answer``, ``decide_boundedness``,
+``ucq_certain_answers``, ``screen_zoo``, ``find_homomorphism`` ...)
+runs in it when no session is passed, looked up in one place,
+:func:`repro.core.errors._resolve_session`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class Session:
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
-        self.hom = _homengine.HomEngine(self.config)
         self.cactus = _cactus.CactusState(self.config)
         self.pool = _runtime.PoolRuntime(self.config)
         # Durable disk tier (None unless cache_dir is configured):
@@ -118,7 +118,7 @@ class Session:
 
     def __repr__(self) -> str:
         return (
-            f"Session(backend={self.hom.default_backend!r}, "
+            f"Session(backend={self.config.backend!r}, "
             f"workers={self.pool.workers})"
         )
 
@@ -162,7 +162,9 @@ class Session:
         beats the config default; ``auto`` resolves per call from the
         ``source``'s cached decomposition width (tree-shaped queries
         route to ``decomp``) and the ``target``'s size/density."""
-        return self.hom.resolve_backend(backend, target, source)
+        return _homengine.resolve_backend(
+            self.config.backend, backend, target, source
+        )
 
     # -- engine-level entry points --------------------------------------
 
@@ -366,7 +368,7 @@ class Session:
             return _semiring.Evaluation(
                 None,
                 sr.name,
-                backend if backend is not None else self.hom.default_backend,
+                backend if backend is not None else self.config.backend,
                 reason=exc.reason,
             )
 
@@ -466,9 +468,10 @@ def set_default_session(session: Session) -> Session | None:
 
 
 def reset_default_session() -> None:
-    """Drop the default session (shutting down its pool); the next free
-    -function call builds a fresh one from the current environment."""
+    """Close and drop the default session (its pool, caches and durable
+    store); the next free-function call builds a fresh one from the
+    current environment."""
     global _DEFAULT
     if _DEFAULT is not None:
-        _DEFAULT.pool.shutdown()
+        _DEFAULT.close()
     _DEFAULT = None

@@ -270,9 +270,11 @@ def screen_zoo(
         ucq_rewriting,
     )
     from .core.cq import is_one_cq
+    from .core.errors import _resolve_session
     from .core.runtime import parallel_screen
     from .decide import decide_boundedness
 
+    session = _resolve_session(session)
     classified: list[tuple] = []  # (name, expected, decision, depth, ucq)
     for entry in zoo_table():
         if not is_one_cq(entry.query):
@@ -312,55 +314,3 @@ def screen_zoo(
             )
         rows.append(ZooScreenRow(name, expected, decision, depth, answers))
     return rows
-
-
-# ----------------------------------------------------------------------
-# The hostile zoo: workloads built to fight the engine
-# ----------------------------------------------------------------------
-
-
-def hostile_suite(
-    count: int = 6,
-    size: int = 9,
-    instances: int = 8,
-    n: int = 24,
-    seed: int = 0,
-) -> tuple[list[Structure], list[Structure]]:
-    """The adversarial counterpart of the paper zoo: ``(queries,
-    targets)`` drawn from the two hostile generator families.
-
-    Queries are treewidth-3 :func:`~repro.workloads.generators.
-    random_ktree_cq` draws — cyclic, dense constraint graphs that force
-    the decomp backend's min-fill fallback and give backtracking no
-    tree shortcut; targets are :func:`~repro.workloads.generators.
-    dense_multigraph_instance` draws — high edge density and
-    multi-predicate parallel edges, so AC-3 barely prunes.  Everything
-    is seed-deterministic, making the suite usable as both a stress
-    workload and a differential regression fixture.
-    """
-    from .workloads.generators import hostile_family, random_ktree_cq
-
-    queries = [
-        random_ktree_cq(size, seed * 91193 + i) for i in range(count)
-    ]
-    targets = hostile_family(instances, n, seed + 1)
-    return queries, targets
-
-
-def screen_hostile(
-    count: int = 6,
-    size: int = 9,
-    instances: int = 8,
-    n: int = 24,
-    seed: int = 0,
-    session=None,
-) -> list[list[bool]]:
-    """Screen the :func:`hostile_suite` — ``result[qi][di]`` as in
-    :meth:`repro.session.Session.screen` — through whatever session
-    machinery (pool, governance, durable checkpoints) is configured."""
-    queries, targets = hostile_suite(count, size, instances, n, seed)
-    if session is None:
-        from .session import default_session
-
-        session = default_session()
-    return session.screen(queries, targets)

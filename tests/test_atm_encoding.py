@@ -278,19 +278,8 @@ class TestCorrectnessPredicates:
         )
         assert not is_properly_computing(params, machine, mutated, ())
 
-    def test_init_violation_detected(self):
-        machine, params, trees = setup_toy(toy_accept_machine)
-        gd = gamma_depth(params)
-        tree = ideal_tree_cut(
-            params, machine, "1", lambda _i: trees[0], 2 * gd + 12
-        )
-        bits = encode_configuration(
-            params,
-            initial_configuration(machine, "1", params.cells),
-            0,
-        )
-        leaf = gamma_paths(params, bits)[0]
-        restart = leaf + CHAIN_PREFIX + (0,)
+    def test_init_violation_detected(self, deep_accept_tree):
+        machine, params, tree, restart = deep_accept_tree
         assert is_properly_initialising(params, machine, "1", tree, restart)
         # A restart is NOT properly initialising for a different word.
         assert not is_properly_initialising(

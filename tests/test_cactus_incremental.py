@@ -32,7 +32,6 @@ from repro.core import (
     build_cactus_from_scratch,
     cactus_factory,
     chain_shape,
-    clear_cactus_caches,
     evaluate_exhaustive,
     evaluate_via_cactuses,
     full_shape,
@@ -46,6 +45,7 @@ from repro.core import (
 from repro.core import bitkernel
 from repro.core.boundedness import probe_family_boundedness
 from repro.core.structure import BinaryFact, BitsetIndex, UnaryFact
+from repro.session import default_session
 from repro.workloads import instance_family, random_instance
 
 
@@ -259,7 +259,7 @@ class TestIncrementalMatchesScratch:
     def test_order_independence(self):
         # Building deep-first must give the same structures as the
         # enumeration order (prefixes materialised along the way).
-        clear_cactus_caches()
+        default_session().clear_caches()
         one_cq = q_ttf()
         deep = build_cactus(one_cq, full_shape(2, 3))
         ref = build_cactus_from_scratch(one_cq, full_shape(2, 3))
@@ -293,7 +293,7 @@ class TestFactoryCaching:
     def test_clear_cactus_caches(self):
         one_cq = q_tf()
         a = build_cactus(one_cq, Shape.leaf())
-        clear_cactus_caches()
+        default_session().clear_caches()
         b = build_cactus(one_cq, Shape.leaf())
         assert a is not b
         assert a.structure == b.structure
@@ -337,7 +337,7 @@ class TestIncrementalSigma:
         assert sigma.fingerprint == reference.fingerprint
 
     def test_sigma_deep_chain_shares_prefix_facts(self):
-        clear_cactus_caches()
+        default_session().clear_caches()
         one_cq = q_tf()
         shallow = build_cactus(one_cq, chain_shape([0, 0]))
         deep = build_cactus(one_cq, chain_shape([0, 0, 0]))
@@ -359,7 +359,7 @@ class TestStructureIntern:
     def test_fresh_factories_share_structures(self):
         from repro.core.cactus import CactusFactory, iter_shapes
 
-        clear_cactus_caches()
+        default_session().clear_caches()
         one_cq = q_ttf()
         shapes = list(iter_shapes(one_cq.span, 2))
         f1 = CactusFactory(one_cq)
@@ -370,7 +370,7 @@ class TestStructureIntern:
     def test_content_equal_queries_share(self):
         from repro.core.cactus import CactusFactory
 
-        clear_cactus_caches()
+        default_session().clear_caches()
         # Distinct but content-equal OneCQ values intern under one key.
         a = OneCQ.from_structure(path_structure(["T", "T", "F"]))
         b = OneCQ.from_structure(path_structure(["T", "T", "F"]))
@@ -384,20 +384,20 @@ class TestStructureIntern:
     def test_different_queries_do_not_share(self):
         from repro.core.cactus import CactusFactory
 
-        clear_cactus_caches()
+        default_session().clear_caches()
         a, b = q_tf(), q_ttf()
         sa = CactusFactory(a).cactus(chain_shape([0])).structure
         sb = CactusFactory(b).cactus(chain_shape([0])).structure
         assert sa != sb
 
     def test_clear_structure_intern(self):
-        from repro.core.cactus import CactusFactory, clear_structure_intern
+        from repro.core.cactus import CactusFactory
 
-        clear_cactus_caches()
+        default_session().clear_caches()
         one_cq = q_tf()
         shape = chain_shape([0])
         first = CactusFactory(one_cq).cactus(shape).structure
-        clear_structure_intern()
+        default_session().cactus.clear_intern()
         second = CactusFactory(one_cq).cactus(shape).structure
         assert first is not second
         assert first == second
@@ -406,7 +406,7 @@ class TestStructureIntern:
     def test_interned_cactuses_match_oracle(self):
         from repro.core.cactus import CactusFactory, iter_shapes
 
-        clear_cactus_caches()
+        default_session().clear_caches()
         one_cq = q_gadget()
         shapes = list(iter_shapes(one_cq.span, 2))
         CactusFactory(one_cq)  # warm nothing

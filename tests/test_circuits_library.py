@@ -9,7 +9,6 @@ from repro.atm.encoding import (
     desired_tree_cut,
     gamma_depth,
     gamma_paths,
-    ideal_tree_cut,
     is_good,
     is_properly_branching,
     read_config_bits,
@@ -279,46 +278,32 @@ class TestStepFormula:
 
 
 class TestInitFormula:
-    def restart_setup(self, word="1"):
-        machine = toy_accept_machine()
-        params = EncodingParams.from_machine(machine, 2)
-        comp = next(iter_computation_trees(machine, word, 2, 16))
-        gd = gamma_depth(params)
-        tree = ideal_tree_cut(
-            params, machine, word, lambda _i: comp, 2 * gd + 12
-        )
-        config = initial_configuration(machine, word, params.cells)
-        bits = encode_configuration(params, config, 0)
-        leaf = gamma_paths(params, bits)[0]
-        restart = leaf + CHAIN_PREFIX + (0,)
-        return machine, params, tree, restart
-
-    def test_silent_at_correct_restart(self):
-        machine, params, tree, restart = self.restart_setup()
+    def test_silent_at_correct_restart(self, deep_accept_tree):
+        machine, params, tree, restart = deep_accept_tree
         check = init_formula(params, machine, ["1"])
         assert not fires_at(check, tree, restart)
 
-    def test_fires_for_wrong_word(self):
-        machine, params, tree, restart = self.restart_setup()
+    def test_fires_for_wrong_word(self, deep_accept_tree):
+        machine, params, tree, restart = deep_accept_tree
         check = init_formula(params, machine, ["0"])
         assert fires_at(check, tree, restart)
 
-    def test_fires_on_nonblank_tail(self):
-        machine, params, tree, restart = self.restart_setup()
+    def test_fires_on_nonblank_tail(self, deep_accept_tree):
+        machine, params, tree, restart = deep_accept_tree
         # Flip a symbol bit of the blank cell beyond the input word.
         address = params.cell_offset(1) + params.n_gamma - 1
         mutated = flip_bit(params, tree, restart, address)
         check = init_formula(params, machine, ["1"])
         assert fires_at(check, mutated, restart)
 
-    def test_fires_on_wrong_parent_bit(self):
-        machine, params, tree, restart = self.restart_setup()
+    def test_fires_on_wrong_parent_bit(self, deep_accept_tree):
+        machine, params, tree, restart = deep_accept_tree
         mutated = flip_bit(params, tree, restart, params.parent_bit_position)
         check = init_formula(params, machine, ["1"])
         assert fires_at(check, mutated, restart)
 
-    def test_silent_away_from_restarts(self):
-        machine, params, tree, restart = self.restart_setup()
+    def test_silent_away_from_restarts(self, deep_accept_tree):
+        machine, params, tree, restart = deep_accept_tree
         check = init_formula(params, machine, ["1"])
         # Configuration children inside a beta tree have a 001*001*
         # context, not 111*001*, so Init cannot fire there.

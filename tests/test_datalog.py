@@ -176,7 +176,7 @@ class TestBoundedEvaluation:
 class TestSemiNaiveAgainstNaive:
     def _naive(self, prog: Program, data: Structure):
         """Reference: naive fixpoint recomputing everything each round."""
-        from repro.core.homomorphism import iter_homomorphisms
+        from repro.core.homengine import iter_homomorphisms
 
         derived: set[UnaryFact] = set()
         goals: set[str] = set()

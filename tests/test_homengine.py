@@ -15,10 +15,8 @@ from repro.core.homengine import (
     covers_any,
     evaluate_batch,
     find_homomorphism,
-    get_default_backend,
     has_homomorphism,
     iter_homomorphisms,
-    set_default_backend,
 )
 from repro.core.homomorphism import is_core, is_homomorphism
 from repro.core.structure import (
@@ -44,20 +42,7 @@ def canon(homs):
 
 
 class TestBackendSwitch:
-    def test_default_backend_is_valid(self):
-        assert get_default_backend() in BACKENDS
-
-    def test_set_and_restore(self):
-        previous = set_default_backend("naive")
-        try:
-            assert get_default_backend() == "naive"
-        finally:
-            set_default_backend(previous)
-        assert get_default_backend() == previous
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_backend("simd")
         q = path_structure(["T"])
         with pytest.raises(ValueError):
             list(iter_homomorphisms(q, q, backend="simd"))

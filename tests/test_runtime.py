@@ -25,13 +25,11 @@ from repro.core import runtime
 from repro.core.config import EngineConfig
 from repro.core.homengine import covers_any, evaluate_batch
 from repro.core.runtime import (
-    configure_pool,
+    PoolRuntime,
     from_wire,
     parallel_covers_any,
     parallel_evaluate_batch,
     parallel_screen,
-    pool_info,
-    shutdown_pool,
     to_wire,
 )
 from repro.core.structure import BitsetIndex
@@ -81,12 +79,18 @@ def gone_within(pids, seconds):
 
 @pytest.fixture
 def small_pool():
-    """A 2-worker pool with a tiny threshold, restored afterwards."""
-    info = pool_info()
-    configure_pool(workers=2, min_batch=4)
-    yield
-    shutdown_pool()
-    configure_pool(workers=info.workers, min_batch=info.min_batch)
+    """A 2-worker, tiny-threshold session installed as the default
+    session (the tests call the free functions), closed and replaced
+    by the previous default afterwards."""
+    from repro.session import Session, set_default_session
+
+    session = Session(EngineConfig(workers=2, parallel_min=4))
+    previous = set_default_session(session)
+    try:
+        yield session
+    finally:
+        session.close()
+        set_default_session(previous)
 
 
 # ----------------------------------------------------------------------
@@ -156,19 +160,19 @@ class TestParallelEvaluateBatch:
         assert parallel_evaluate_batch(q, family) == [True, False] * 8
 
     def test_small_batch_serial_fallback(self, small_pool):
-        shutdown_pool()
+        small_pool.pool.shutdown()
         q = path_structure(["T", "F"])
         family = instance_family(3, 6, 8, seed=1)  # below min_batch=4
         assert parallel_evaluate_batch(q, family) == evaluate_batch(q, family)
-        assert not pool_info().running  # no pool was spawned for it
+        assert not small_pool.pool_info().running  # no pool was spawned for it
 
     def test_workers_one_disables_parallelism(self, small_pool):
-        shutdown_pool()
+        small_pool.pool.shutdown()
         q = path_structure(["T", "F"])
         family = instance_family(12, 6, 8, seed=2)
         result = parallel_evaluate_batch(q, family, workers=1)
         assert result == evaluate_batch(q, family)
-        assert not pool_info().running
+        assert not small_pool.pool_info().running
 
     def test_empty_batch(self, small_pool):
         assert parallel_evaluate_batch(path_structure(["T"]), []) == []
@@ -186,13 +190,13 @@ class TestParallelScreen:
         assert sharded == [evaluate_batch(q, family) for q in queries]
 
     def test_serial_fallback_below_threshold(self, small_pool):
-        shutdown_pool()
+        small_pool.pool.shutdown()
         queries = [path_structure(["T", "F"])]
         family = instance_family(3, 6, 8, seed=4)
         assert parallel_screen(queries, family) == [
             evaluate_batch(queries[0], family)
         ]
-        assert not pool_info().running
+        assert not small_pool.pool_info().running
 
     def test_empty_query_pool(self, small_pool):
         assert parallel_screen([], instance_family(8, 5, 6, seed=1)) == []
@@ -218,11 +222,11 @@ class TestParallelUcqAnswers:
     def test_returns_none_below_threshold(self, small_pool):
         from repro.core.runtime import parallel_ucq_answers
 
-        shutdown_pool()
+        small_pool.pool.shutdown()
         disjuncts = [path_structure(["T", "F"])]
         family = instance_family(3, 6, 8, seed=2)
         assert parallel_ucq_answers(disjuncts, family) is None
-        assert not pool_info().running
+        assert not small_pool.pool_info().running
 
     def test_returns_none_for_empty_inputs(self, small_pool):
         from repro.core.runtime import parallel_ucq_answers
@@ -308,20 +312,12 @@ class TestRewiredConsumers:
 
 
 class TestPoolManagement:
-    def test_configure_and_info(self):
-        info = pool_info()
-        try:
-            configure_pool(workers=3, min_batch=7)
-            assert pool_info().workers == 3
-            assert pool_info().min_batch == 7
-        finally:
-            shutdown_pool()
-            configure_pool(workers=info.workers, min_batch=info.min_batch)
-
     def test_shutdown_idempotent(self):
-        shutdown_pool()
-        shutdown_pool()
-        assert not pool_info().running
+        rt = PoolRuntime(EngineConfig(workers=2))
+        assert rt.get_pool() is not None and rt.info().running
+        rt.shutdown()
+        rt.shutdown()
+        assert not rt.info().running
 
 
 @pytest.mark.skipif(

@@ -118,16 +118,6 @@ class TestRegistry:
             assert reg.get("a") is reg.get("a")
             assert reg.get("a") is not reg.get("b")
 
-    def test_overlay_resolves_and_validates(self):
-        with SessionRegistry(base_config()) as reg:
-            reg.set_overlay("t", hom_fuel=7)
-            assert reg.get("t").config.hom_fuel == 7
-            assert reg.get("other").config.hom_fuel is None
-            with pytest.raises(TypeError):
-                reg.set_overlay("t", not_a_knob=1)
-            with pytest.raises(ValueError):
-                reg.set_overlay("t", backend="simd")
-
     def test_lru_evicts_and_closes(self):
         with SessionRegistry(base_config(), capacity=2) as reg:
             a = reg.get("a")

@@ -237,11 +237,31 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_HOM_BACKEND", "naive")
         reset_default_session()
         try:
-            assert repro.get_default_backend() == "naive"
+            assert default_session().config.backend == "naive"
         finally:
             monkeypatch.delenv("REPRO_HOM_BACKEND")
             reset_default_session()
-        assert repro.get_default_backend() == "bitset"
+        assert default_session().config.backend == "bitset"
+
+    def test_reset_closes_the_default_sessions_store(
+        self, monkeypatch, tmp_path
+    ):
+        """Resetting the default session closes its durable store, so
+        its sqlite connection is released and it stops backing the
+        decomp plan intern."""
+        from repro.core import decomp
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        reset_default_session()
+        try:
+            store = default_session().store
+            assert store is not None and store.enabled
+            assert decomp._PLAN_STORE is store
+        finally:
+            monkeypatch.delenv("REPRO_CACHE_DIR")
+            reset_default_session()
+        assert store.enabled is False
+        assert decomp._PLAN_STORE is None
 
 
 # ----------------------------------------------------------------------
@@ -399,14 +419,14 @@ class TestWorkerWireCache:
         from repro.core import runtime
 
         with Session(
-            EngineConfig(backend="naive", worker_cache_size=3)
+            EngineConfig(backend="naive", cactus_max_nodes=3)
         ) as oracle:
             backend, config = runtime._worker_opts(oracle, None)
             assert backend == "naive"
             # The full resolved config ships, with nested parallelism
             # stripped (a worker must never spawn its own pool).
             assert config == oracle.config.replace(workers=1)
-            assert config.worker_cache_size == 3
+            assert config.cactus_max_nodes == 3
             # A per-call backend still wins over the session default.
             assert runtime._worker_opts(oracle, "matrix")[0] == "matrix"
         with Session(EngineConfig(backend="auto")) as adaptive:
@@ -420,13 +440,11 @@ class TestWorkerWireCache:
         closed: the full config now ships over the wire)."""
         from repro.core import runtime
 
-        config = EngineConfig(
-            backend="naive", cactus_max_nodes=7, worker_cache_size=3
-        )
+        config = EngineConfig(backend="naive", cactus_max_nodes=7)
         shipped = config.replace(workers=1)
         session = runtime._worker_session(shipped)
         assert session.cactus.max_nodes == 7
-        assert session.hom.default_backend == "naive"
+        assert session.config.backend == "naive"
         assert session.pool.workers == 1
         # Same config -> same worker session (and its warm caches).
         assert runtime._worker_session(shipped) is session
@@ -438,7 +456,7 @@ class TestWorkerWireCache:
         q = path_structure(["T", ""])
         d = path_structure(["T", "", ""])
         answers = runtime._worker_screen_chunk(
-            [to_wire(q)], [to_wire(d)], None, 0, shipped
+            [to_wire(q)], [to_wire(d)], None, shipped
         )
         assert answers == [[True]]
         assert runtime._WORKER_SESSION[0] == shipped
@@ -450,7 +468,7 @@ class TestWorkerWireCache:
         q5 = OneCQ.from_structure(zoo.q5())
         family = instance_family(count=24, n=12, edge_count=24, seed=11)
         with Session(
-            EngineConfig(workers=2, parallel_min=4, worker_cache_size=64)
+            EngineConfig(workers=2, parallel_min=4)
         ) as s:
             queries = s.ucq_rewriting(q5, 1)
             first = s.screen(queries, family)
@@ -466,14 +484,6 @@ class TestWorkerWireCache:
 
 
 class TestDefaultSessionShims:
-    def test_set_default_backend_routes_to_default_session(
-        self, fresh_default
-    ):
-        previous = repro.set_default_backend("naive")
-        assert previous == "bitset"
-        assert default_session().hom.default_backend == "naive"
-        assert repro.get_default_backend() == "naive"
-
     def test_free_functions_use_default_session_cache(
         self, fresh_default, kernel_calls
     ):
@@ -483,8 +493,12 @@ class TestDefaultSessionShims:
         d = path_structure(["T", "", ""])
         assert repro.has_homomorphism(q, d) is True
         assert (kernel_calls["naive"], kernel_calls["bitset"]) == (0, 1)
-        fresh_default.hom.set_default_backend("naive")
-        assert repro.has_homomorphism(q, d) is True
+        with Session(EngineConfig(backend="naive")) as naive:
+            set_default_session(naive)
+            try:
+                assert repro.has_homomorphism(q, d) is True
+            finally:
+                set_default_session(fresh_default)
         assert (kernel_calls["naive"], kernel_calls["bitset"]) == (1, 1)
 
     def test_screen_zoo_accepts_session(self):
