@@ -28,6 +28,17 @@ and cross-checks every answer four ways:
   ``has_homomorphism``, MINPLUS is finite iff a homomorphism exists,
   and weighted PROB agrees across the enumeration, decomp-DP and
   matrix-matvec routes.
+* **Probe agreement** — every 20th case also draws a random 1-CQ of
+  span 1 or 2 (a Λ-CQ, or for span 1 a ditree CQ whose solitary pair
+  may be comparable) and runs the Proposition 2 probe,
+  ``probe_boundedness``, with ``require_focus`` False and True, under
+  the default configuration and under the ``naive`` backend, and for
+  span 1 also with ``probe_warmstart=False`` (the batch coverage path
+  instead of the warm-started DP).  Verdict, ``depth``,
+  ``cactuses_examined``, ``uncovered`` and ``reason`` must agree.
+  Span-1 queries are probed at depth 2 or 3; span-2 queries at depth
+  2, since one depth-3 span-2 probe (676 cactuses) takes the naive
+  oracle about 12 s.
 * **Durable-store agreement** (``--cache-dir``) — every 40 cases a
   disk-backed session screens the recent (query, target) pairs, is
   closed and reopened, and screens them again: the second screens must
@@ -71,6 +82,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import EngineConfig, ResourceExhausted, Session  # noqa: E402
+from repro.core.cq import OneCQ, is_one_cq  # noqa: E402
 from repro.core.decomp import clear_plan_intern  # noqa: E402
 from repro.core.runtime import (  # noqa: E402
     from_wire,
@@ -88,6 +100,9 @@ from repro.workloads.generators import (  # noqa: E402
 )
 
 BACKENDS = ("naive", "bitset", "matrix", "decomp")
+
+# One probe case per this many hom cases (see "Probe agreement").
+PROBE_EVERY = 20
 
 
 def draw_query(rng: random.Random):
@@ -149,6 +164,47 @@ def draw_constraints(rng: random.Random, query, target) -> dict:
         x = seeded if rng.random() < 0.5 else rng.choice(q_nodes)
         constraints["node_domains"] = {x: subset(len(t_nodes))}
     return constraints
+
+
+def draw_probe(rng: random.Random) -> tuple[OneCQ, int]:
+    """A random 1-CQ of span 1 or 2 and the depth to probe it at."""
+    span = rng.choice((1, 2))
+    while True:
+        n = rng.randint(4, 7)
+        seed = rng.randrange(1 << 30)
+        if span == 1 and rng.random() < 0.5:
+            q = random_ditree_cq(n, seed)
+        else:
+            q = random_lambda_cq(n, seed, span)
+        if q is not None and is_one_cq(q):
+            one_cq = OneCQ.from_structure(q)
+            if len(one_cq.solitary_ts) == span:
+                return one_cq, rng.choice((2, 3)) if span == 1 else 2
+
+
+def probe_round(case_seed: int, probe_sessions: dict) -> str | None:
+    """One probe-agreement case; a description of the disagreement,
+    or ``None`` when every configuration agrees."""
+    one_cq, depth = draw_probe(random.Random(case_seed + 2))
+    names = ["default", "naive"]
+    if len(one_cq.solitary_ts) == 1:
+        names.append("batch")
+    for require_focus in (False, True):
+        got = {}
+        for name in names:
+            r = probe_sessions[name].probe_boundedness(
+                one_cq, depth, require_focus=require_focus
+            )
+            got[name] = (
+                r.verdict, r.depth, r.cactuses_examined, r.uncovered,
+                r.reason,
+            )
+        if len(set(got.values())) != 1:
+            return (
+                f"depth={depth} require_focus={require_focus} "
+                f"query={to_wire(one_cq.query)!r}: {got!r}"
+            )
+    return None
 
 
 def report(case_seed: int, what: str, query, target, detail: str) -> None:
@@ -249,6 +305,11 @@ def main() -> int:
         EngineConfig(backend="bitset", workers=args.workers, parallel_min=8)
     )
     serial = Session(EngineConfig(backend="bitset", workers=1))
+    probe_sessions = {
+        "default": Session(EngineConfig()),
+        "naive": Session(EngineConfig(backend="naive")),
+        "batch": Session(EngineConfig(probe_warmstart=False)),
+    }
 
     def fresh_durable():
         return Session(
@@ -261,6 +322,7 @@ def main() -> int:
 
     checks = 0
     cases = 0
+    probe_cases = 0
     batch_queries: list = []
     batch_targets: list = []
     for case in range(args.cases):
@@ -398,6 +460,15 @@ def main() -> int:
                     return 1
                 replay.clear()
 
+        if case % PROBE_EVERY == 0:
+            failure = probe_round(case_seed, probe_sessions)
+            probe_cases += 1
+            checks += 1
+            if failure is not None:
+                print(f"DISAGREEMENT (case seed {case_seed}): probe")
+                print(f"  {failure}")
+                return 1
+
         # A bare governed engine call raises on exhaustion; any answer
         # it *does* return must match the oracle.
         try:
@@ -457,12 +528,15 @@ def main() -> int:
                 return 1
         durable.close()
 
-    for s in (*sessions.values(), governed, parallel, serial):
+    for s in (
+        *sessions.values(), *probe_sessions.values(), governed, parallel,
+        serial,
+    ):
         s.close()
     elapsed = time.monotonic() - started
     print(
-        f"ok: {cases} cases, {checks} cross-checks, "
-        f"0 disagreements in {elapsed:.1f}s (seed {args.seed})"
+        f"ok: {cases} cases ({probe_cases} probe cases), {checks} "
+        f"cross-checks, 0 disagreements in {elapsed:.1f}s (seed {args.seed})"
     )
     return 0
 

@@ -136,20 +136,26 @@ def _covered_by(
 ) -> bool:
     """Does some shallow cactus map homomorphically into ``target``?
 
-    With a :class:`~repro.core.decomp.ProbeCoverage` (the default), the
-    check runs the delta warm-started decomposition DP: since cactus
-    ``C(d)`` extends ``C(d-1)`` by the recorded construction delta, the
-    per-bag satisfying sets of the previous depth are reused and only
-    bags touched by the delta re-propagate, instead of re-solving every
-    coverage check from scratch at each depth.
+    With a :class:`~repro.core.decomp.ProbeCoverage` (span <= 1 queries
+    with ``probe_warmstart`` on), the check runs the delta warm-started
+    decomposition DP: since cactus ``C(d)`` extends ``C(d-1)`` by the
+    recorded construction delta, the per-bag satisfying sets of the
+    previous depth are reused and only bags touched by the delta
+    re-propagate, instead of re-solving every coverage check from
+    scratch at each depth.
 
-    Without one (``probe_warmstart=False``, or a span->=2 query), it is
-    a single serial :func:`~repro.core.homengine.covers_any` call: the
-    target's indexes are shared across the whole batch and the scan
-    stops at the first covering cactus.  The evidence pass of a span-2
-    probe makes hundreds of such calls, one per deep cactus, and a
-    process-pool round trip for each would cost several times the
-    checks themselves.
+    Without one, it is a single serial
+    :func:`~repro.core.homengine.covers_any` call, and the probe pays
+    its setup once per target and once per source, not once per pair:
+    the target's :class:`~repro.core.structure.BitsetIndex` is derived
+    from its parent cactus's by delta, its requirement masks are filed
+    on that index for every shallow source to reuse, and each shallow
+    cactus's compiled :class:`~repro.core.bitkernel.SourcePlan` is
+    cached on its structure for every target.  The scan stops at the
+    first covering cactus.  The evidence pass of a span-2 probe makes
+    hundreds of such calls, one per deep cactus, and a process-pool
+    round trip for each would cost several times the checks
+    themselves, so they stay in this process.
     """
     if coverage is not None:
         return coverage.covered_by_any(target, shallow, require_focus)

@@ -25,8 +25,11 @@ and variable map per skeleton path, memoises every cactus it has ever
 materialised by shape, and builds a depth-``d`` cactus by extending the
 cached depth-``d-1`` prefix with only the new generation of segments —
 a copy-on-write :meth:`~repro.core.structure.Structure.extended` delta
-(drop the budded ``T`` facts, union in the interned leaf segments) that
-also transfers the parent's engine indexes and fingerprint.  Path-based
+(drop the budded ``T`` facts, union in the interned leaf segments) from
+which the structure derives the parent's engine indexes and fingerprint
+on first use.  The new segments' nodes are appended to the interning
+order by bud path, then by the query variable's position in the query's
+``node_order``, so no cactus ever sorts its nodes.  Path-based
 node naming makes this sound: a segment keeps the same nodes in every
 cactus that contains it, so a prefix's structure is literally a
 substructure of every extension.  The same delta derives ``C°``
@@ -461,8 +464,10 @@ class CactusFactory:
     cactus is built from the cached depth-``d-1`` prune of its shape by
     one :meth:`~repro.core.structure.Structure.extended` delta: remove
     the newly-budded ``T`` facts, add the interned fact sets of the new
-    leaf segments.  Nothing a prefix materialised is ever recomputed —
-    not the facts, not the eager structure indexes, not the fingerprint.
+    leaf segments, append their nodes in bud-path order.  Nothing a
+    prefix materialised is ever recomputed — not the facts, not the
+    structure indexes (derived from the prefix's on first use), not the
+    fingerprint.
     """
 
     def __init__(
@@ -521,8 +526,12 @@ class CactusFactory:
         return cached
 
     def leaf_facts(self, path: Path) -> tuple:
-        """Interned ``(nodes, unary, binary)`` of the leaf segment copy
-        at ``path`` (root copy when ``path`` is empty)."""
+        """Interned ``(nodes, unary, binary, new_nodes)`` of the leaf
+        segment copy at ``path`` (root copy when ``path`` is empty).
+
+        ``new_nodes`` are the nodes the copy adds to its parent (all
+        but the glued focus), in the query's ``node_order``: the order
+        in which a cactus appends them to its interning order."""
         cached = self._leaf_facts.get(path)
         if cached is None:
             one_cq = self.one_cq
@@ -538,10 +547,16 @@ class CactusFactory:
             binary = frozenset(
                 fact.rename(var_map) for fact in q.binary_facts
             )
+            new_nodes = tuple(
+                var_map[v]
+                for v in q.node_order
+                if not (path and v == one_cq.focus)
+            )
             cached = (
                 frozenset(var_map.values()),
                 frozenset(unary),
                 binary,
+                new_nodes,
             )
             self._leaf_facts[path] = cached
         return cached
@@ -561,19 +576,21 @@ class CactusFactory:
         structure = state.interned_structure(self.intern_key, shape)
         if structure is None:
             if depth == 0:
-                nodes, unary, binary = self.leaf_facts(())
+                nodes, unary, binary, _ = self.leaf_facts(())
                 structure = Structure(nodes, unary, binary)
             else:
                 base = self.cactus(parent_shape(shape))
                 ts = self.one_cq.solitary_ts
-                add_nodes: set[Node] = set()
+                # The new segments in bud-path order, each adding its
+                # nodes in query order: the appended interning order.
+                add_nodes: list[Node] = []
                 add_unary: set[UnaryFact] = set()
                 add_binary: set[BinaryFact] = set()
                 removed: list[UnaryFact] = []
-                for parent_path, j in self._paths_at_depth(shape, depth):
-                    removed.append(UnaryFact(T, (parent_path, ts[j])))
-                    nodes, unary, binary = self.leaf_facts(parent_path + (j,))
-                    add_nodes |= nodes
+                for path in sorted(self._paths_at_depth(shape, depth)):
+                    removed.append(UnaryFact(T, (path[:-1], ts[path[-1]])))
+                    _, unary, binary, new_nodes = self.leaf_facts(path)
+                    add_nodes += new_nodes
                     add_unary |= unary
                     add_binary |= binary
                 structure = base.structure.extended(
@@ -584,7 +601,7 @@ class CactusFactory:
                 )
                 sigma_delta = (
                     base,
-                    frozenset(add_nodes),
+                    tuple(add_nodes),
                     frozenset(add_unary),
                     frozenset(add_binary),
                     tuple(removed),
@@ -615,16 +632,14 @@ class CactusFactory:
         return cactus
 
     @staticmethod
-    def _paths_at_depth(
-        shape: Shape, depth: int
-    ) -> Iterator[tuple[Path, int]]:
-        """``(parent_path, bud_index)`` of every segment at ``depth``."""
+    def _paths_at_depth(shape: Shape, depth: int) -> Iterator[Path]:
+        """The skeleton path of every segment at ``depth``."""
         stack: list[tuple[Path, Shape]] = [((), shape)]
         while stack:
             path, node = stack.pop()
             for j, child in node.children:
                 if len(path) + 1 == depth:
-                    yield path, j
+                    yield path + (j,)
                 else:
                     stack.append((path + (j,), child))
 

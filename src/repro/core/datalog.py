@@ -175,31 +175,40 @@ def evaluate(
     part of ``data`` is never modified; IDB facts already present in the
     data (e.g. ``T`` facts feeding ``P(x) <- T(x)``) are allowed.
     """
-    session = _resolve_session(session)
+    return _semi_naive(program, data, None, _resolve_session(session))
+
+
+def _semi_naive(
+    program: Program, data: Structure, max_rounds: int | None, session
+) -> EvaluationResult:
+    """The semi-naive round loop of :func:`evaluate` and
+    :func:`evaluate_bounded`: round 0 fires every rule on the raw data,
+    every later round fires the recursive rules against the previous
+    round's new facts, and the loop stops at a fixpoint or after
+    ``max_rounds`` rounds (``None``: only at the fixpoint)."""
     idb = program.idb_predicates
     derived: set[UnaryFact] = set()
     goals: set[str] = set()
-
-    # Round 0: fire every rule on the raw data.
-    instance = data
     delta: set[UnaryFact] = set()
     for rule in program.rules:
-        for fact in _fire_rule(rule, instance, None, session):
+        for fact in _fire_rule(rule, data, None, session):
             if isinstance(fact, str):
                 goals.add(fact)
             elif fact not in data.unary_facts and fact not in derived:
                 derived.add(fact)
                 delta.add(fact)
     rounds = 1
-
     recursive = [
         rule for rule in program.rules if rule.body.unary_predicates & idb
     ]
-    while delta:
+    while delta and (max_rounds is None or rounds < max_rounds):
         instance = _augmented_instance(data, derived)
+        delta_labels = {f.label for f in delta}
         new_delta: set[UnaryFact] = set()
         for rule in recursive:
-            if not (rule.body.unary_predicates & {f.label for f in delta}):
+            # _fire_rule(..., delta) keeps only matches that use a delta
+            # fact, and a body without a delta label can use none.
+            if rule.body.unary_predicates.isdisjoint(delta_labels):
                 continue
             for fact in _fire_rule(rule, instance, delta, session):
                 if isinstance(fact, str):
@@ -213,7 +222,6 @@ def evaluate(
         derived |= new_delta
         delta = new_delta
         rounds += 1
-
     return EvaluationResult(frozenset(derived), frozenset(goals), rounds)
 
 
@@ -243,40 +251,7 @@ def evaluate_bounded(
     Used to measure the recursion depth actually needed on a workload
     (the operational face of boundedness).
     """
-    session = _resolve_session(session)
-    idb = program.idb_predicates
-    derived: set[UnaryFact] = set()
-    goals: set[str] = set()
-    instance = data
-    delta: set[UnaryFact] = set()
-    for rule in program.rules:
-        for fact in _fire_rule(rule, instance, None, session):
-            if isinstance(fact, str):
-                goals.add(fact)
-            elif fact not in data.unary_facts and fact not in derived:
-                derived.add(fact)
-                delta.add(fact)
-    rounds = 1
-    recursive = [
-        rule for rule in program.rules if rule.body.unary_predicates & idb
-    ]
-    while delta and rounds < max_rounds:
-        instance = _augmented_instance(data, derived)
-        new_delta: set[UnaryFact] = set()
-        for rule in recursive:
-            for fact in _fire_rule(rule, instance, delta, session):
-                if isinstance(fact, str):
-                    goals.add(fact)
-                elif (
-                    fact not in data.unary_facts
-                    and fact not in derived
-                    and fact not in new_delta
-                ):
-                    new_delta.add(fact)
-        derived |= new_delta
-        delta = new_delta
-        rounds += 1
-    return EvaluationResult(frozenset(derived), frozenset(goals), rounds)
+    return _semi_naive(program, data, max_rounds, _resolve_session(session))
 
 
 def make_rule(

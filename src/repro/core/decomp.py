@@ -269,8 +269,9 @@ class DecompPlan:
     """
 
     __slots__ = (
-        "nodes", "n", "width", "exact",
+        "nodes", "index", "n", "width", "exact",
         "labels", "out_preds", "in_preds", "self_loops",
+        "req_specs", "req_keys", "req_of",
         "bag_vars", "bag_parent", "bag_children", "bag_roots",
         "bag_atoms", "sep_pos_in_parent",
         "atoms_by_pred", "label_positions", "bag_label_pos",
@@ -283,6 +284,7 @@ class DecompPlan:
         td = tree_decomposition(source)
         sp = bitkernel.source_plan(source)
         self.nodes = sp.nodes
+        self.index = sp.index
         self.n = sp.n
         self.width = td.width
         self.exact = td.exact
@@ -290,6 +292,9 @@ class DecompPlan:
         self.out_preds = sp.out_preds
         self.in_preds = sp.in_preds
         self.self_loops = sp.self_loops
+        self.req_specs = sp.req_specs
+        self.req_keys = sp.req_keys
+        self.req_of = sp.req_of
         proper = sp.edges  # the atoms between two distinct variables
 
         # -- bag tables (the general relational DP) ---------------------
@@ -478,8 +483,12 @@ def _plan_from_store(fp: str, source: Structure) -> "DecompPlan | None":
         return None
     # Fingerprints are content hashes; a (vanishingly unlikely)
     # collision or a stale payload must never misplan a query, so the
-    # stored plan is sanity-checked against the live structure.
-    if list(cand.nodes) != list(source.node_order):
+    # stored plan is sanity-checked against the live structure (and a
+    # payload written before plans carried requirement keys is
+    # recompiled).
+    if list(cand.nodes) != list(source.node_order) or not hasattr(
+        cand, "req_of"
+    ):
         return None
     return cand
 

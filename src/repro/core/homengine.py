@@ -76,8 +76,10 @@ Batch APIs
 
 :func:`covers_any` (does any of a batch of sources map into one
 target?) and :func:`evaluate_batch` (one query over many instances)
-expose the batch traffic shape of the consumers, sharing the target's
-lazily-built indexes across the whole batch.
+expose the batch traffic shape of the consumers.  A target's
+lazily-built indexes, and the requirement masks filed on its
+``BitsetIndex``, are shared by every source searched against it; a
+source's compiled plan is shared by every target.
 """
 
 from __future__ import annotations
@@ -341,10 +343,7 @@ def _iter_bitset(
     # Every edge predicate occurs in the target (a variable's domain is
     # empty otherwise), so the mask tables below exist.
     if edges:
-        watchers: dict[int, list[int]] = {}
-        for ei, (xi, _, yi) in enumerate(edges):
-            watchers.setdefault(xi, []).append(ei)
-            watchers.setdefault(yi, []).append(ei)
+        watchers = plan.watchers
         queue = deque(range(len(edges)))
         queued = set(queue)
         while queue:
@@ -541,10 +540,7 @@ def _iter_matrix(
 
     # --- AC-3 pass: support via boolean-semiring matvec ----------------
     if edges:
-        watchers: dict[int, list[int]] = {}
-        for ei, (xi, _, yi) in enumerate(edges):
-            watchers.setdefault(xi, []).append(ei)
-            watchers.setdefault(yi, []).append(ei)
+        watchers = plan.watchers
         queue = deque(range(len(edges)))
         queued = set(queue)
         while queue:
@@ -1139,26 +1135,30 @@ def covers_any(
     """Does any of ``sources`` map homomorphically into ``target``?
 
     ``sources`` is an iterable of structures or ``(structure, seed)``
-    pairs; alternatively pass a parallel ``seeds`` sequence.  The target
-    indexes are built once and shared across the batch, sources are
-    consumed lazily, and the scan stops at the first success — this is
+    pairs; alternatively pass a parallel ``seeds`` sequence.  This is
     the inner loop of the Proposition 2 probe (does any shallow cactus
-    cover this deep one?) and of UCQ evaluation.  One budget spans the
-    whole scan.
+    cover this deep one?) and of UCQ evaluation, so it is a thin loop:
+    the session and the budget are resolved once, and per source it
+    resolves the backend (``auto`` routes on both sides) and runs that
+    backend's kernel directly.  The target's index and its requirement
+    masks are built on first use and shared by the whole batch; each
+    source's compiled plan is cached on the source.  Sources are
+    consumed lazily and the scan stops at the first success.  One
+    budget spans the whole scan.  The answer equals
+    ``any(has_homomorphism(source, target, seed) ...)``.
     """
     session = _resolve_session(session)
     if budget is None:
         budget = call_budget(session)
+    default = session.config.backend
     for structure, seed in _source_seed_pairs(sources, seeds):
         if budget is not None:
             budget.checkpoint()
-        if has_homomorphism(
-            structure,
-            target,
-            seed=seed,
-            backend=backend,
-            session=session,
-            budget=budget,
+        impl = _BACKEND_IMPLS[
+            resolve_backend(default, backend, target, structure)
+        ]
+        for _hom in impl(
+            structure, target, seed or {}, None, None, None, None, budget
         ):
             return True
     return False

@@ -15,12 +15,13 @@ are read as existentially quantified variables; data instances are
 structures whose nodes are read as constants.
 
 Derived structures that only *add* material (and possibly drop unary
-labels) can be produced through :meth:`Structure.extended`, which copies
-the base structure's eager indexes at C speed, appends to its interning
-order, extends its :class:`BitsetIndex` and per-predicate neighbour maps
-in place of a rebuild, and updates the content fingerprint by a multiset
-delta instead of rehashing every fact — the substrate of the incremental
-cactus construction engine in :mod:`repro.core.cactus`.
+labels) can be produced through :meth:`Structure.extended`, which records
+the delta against its base and derives every lazy view from the base's
+on first use: the interning order by appending, the :class:`BitsetIndex`
+and the label and neighbour maps by applying the delta, and the content
+fingerprint by a multiset delta instead of rehashing every fact — the
+substrate of the incremental cactus construction engine in
+:mod:`repro.core.cactus`.
 """
 
 from __future__ import annotations
@@ -172,6 +173,12 @@ class BitsetIndex:
     runs entirely on these masks: candidate-domain filtering is a chain
     of bitwise ANDs and arc-consistency checks AND a domain against the
     precomputed adjacency masks of the candidate image.
+
+    ``req_masks`` is derived data of the search kernel, filled on
+    demand: the nodes meeting one source variable's requirement key
+    (see :func:`repro.core.bitkernel.candidate_masks`), so every source
+    probed against this target pays for each key once.
+    :meth:`extended` starts the derived index with an empty table.
     """
 
     __slots__ = (
@@ -183,6 +190,7 @@ class BitsetIndex:
         "pred",
         "has_out",
         "has_in",
+        "req_masks",
     )
 
     def __init__(self, structure: "Structure") -> None:
@@ -192,13 +200,13 @@ class BitsetIndex:
         }
         n = len(self.nodes)
         self.full_mask: int = (1 << n) - 1
+        self.req_masks: dict[str, int] = {}
         # label -> bitmask of nodes carrying the label
         self.label_nodes: dict[str, int] = {}
-        for label in structure.unary_predicates:
-            mask = 0
-            for node in structure.nodes_with_label(label):
-                mask |= 1 << self.index[node]
-            self.label_nodes[label] = mask
+        for fact in structure.unary_facts:
+            self.label_nodes[fact.label] = self.label_nodes.get(
+                fact.label, 0
+            ) | (1 << self.index[fact.node])
         # pred -> per-node-index masks of successors / predecessors,
         # plus "has at least one out/in edge with pred" node masks.
         self.succ: dict[str, list[int]] = {}
@@ -241,7 +249,8 @@ class BitsetIndex:
         Requires ``structure.node_order`` to extend the base order (new
         nodes appended), which :meth:`Structure.extended` guarantees:
         every existing node keeps its bit position, so the base masks
-        stay valid and only the delta's bits are edited.
+        stay valid and only the delta's bits are edited.  The base's
+        ``req_masks`` are not carried over: a delta can change them.
         """
         idx = cls.__new__(cls)
         idx.nodes = structure.node_order
@@ -251,6 +260,7 @@ class BitsetIndex:
         idx.index = index
         n = len(idx.nodes)
         idx.full_mask = (1 << n) - 1
+        idx.req_masks = {}
         label_nodes = dict(base.label_nodes)
         for fact in removed_unary:
             label_nodes[fact.label] &= ~(1 << index[fact.node])
@@ -390,7 +400,6 @@ class Structure:
         "_in",
         "_hash",
         "_node_order",
-        "_order_hint",
         "_node_index",
         "_out_by_pred",
         "_in_by_pred",
@@ -401,7 +410,6 @@ class Structure:
         "_engine_plan",
         "_tree_decomp",
         "_decomp_plan",
-        "_extend_hint",
         "_delta",
         "_unary_preds",
         "_binary_preds",
@@ -434,10 +442,12 @@ class Structure:
         self._out = None
         self._in = None
         self._hash = None
+        # Set by extended(): (base, added_unary, removed_unary,
+        # added_binary, new_nodes), the derivation record every lazy
+        # view below resolves through (see extended()).
         self._delta = None
         # Lazily-built engine indexes (see the properties below).
         self._node_order: tuple[Node, ...] | None = None
-        self._order_hint = None  # (base, new_nodes): lazy order descent
         self._node_index: dict[Node, int] | None = None
         self._out_by_pred: dict[Node, dict[str, frozenset[Node]]] | None = None
         self._in_by_pred: dict[Node, dict[str, frozenset[Node]]] | None = None
@@ -452,9 +462,6 @@ class Structure:
         self._engine_plan = None
         self._tree_decomp = None
         self._decomp_plan = None
-        # Set by extended(): (base, touched_nodes, added_binary), letting
-        # the engine derive this structure's plan from the base's.
-        self._extend_hint = None
         self._unary_preds: frozenset[str] | None = None
         self._binary_preds: frozenset[str] | None = None
 
@@ -466,8 +473,9 @@ class Structure:
         """Build the label / adjacency maps on first use.
 
         A structure produced by :meth:`extended` whose base has built
-        maps copies them (C-speed dict copies) and applies only the
-        delta; everything else scans its own fact sets once.
+        maps (and whose derivation record is still held) copies them
+        (C-speed dict copies) and applies only the delta; everything
+        else scans its own fact sets once.
         """
         if self._labels_by_node is not None:
             return
@@ -497,10 +505,6 @@ class Structure:
             self._nodes_by_label = nodes_by_label
             self._out = out
             self._in = inc
-            # Release the derivation chain: keeping the delta would pin
-            # every ancestor structure for this structure's lifetime.
-            # The pred maps, if asked for later, rebuild from own facts.
-            self._delta = None
             return
         labels: dict[Node, set[str]] = {n: set() for n in self._nodes}
         by_label: dict[str, set[Node]] = {}
@@ -619,36 +623,29 @@ class Structure:
     def node_order(self) -> tuple[Node, ...]:
         """The nodes in a stable, per-instance interning order.
 
-        Freshly-built structures sort by canonical key; structures from
-        :meth:`extended` keep the base's order and append the new nodes
-        — *whether or not* the base's order was materialised at
-        extension time (a pending inheritance is recorded as an order
-        hint and resolved lazily, walking the derivation chain) — so
-        existing integer ids (and therefore bitset positions) survive
-        extension all the way down a derivation chain.  Position in
-        this tuple is the node's integer id; see :attr:`node_index` for
-        the inverse map.
+        Position in this tuple is the node's integer id (see
+        :attr:`node_index` for the inverse map).  A structure built from
+        scratch sorts its nodes by :func:`_canonical_key`.  A structure
+        from :meth:`extended` takes its base's order and appends the
+        delta's new nodes in the order :meth:`extended` fixed for them,
+        so every existing id (and therefore every bitset position)
+        survives extension all the way down a derivation chain.  Nothing
+        is ordered at extension time: the first read walks up to the
+        nearest ancestor with a resolved order (or to the chain's root)
+        and resolves the chain downwards.  No order depends on
+        ``PYTHONHASHSEED``.
         """
         if self._node_order is None:
-            # Materialise the deepest unresolved ancestor first, then
-            # walk back down inheriting order prefixes.
             chain = [self]
-            hint = self._order_hint
-            while hint is not None and hint[0]._node_order is None:
-                chain.append(hint[0])
-                hint = hint[0]._order_hint
+            s = self
+            while s._delta is not None and s._delta[0]._node_order is None:
+                s = s._delta[0]
+                chain.append(s)
             for s in reversed(chain):
-                s_hint = s._order_hint
-                if s_hint is not None:
-                    base, new_nodes = s_hint
-                    s._node_order = base._node_order + tuple(
-                        sorted(new_nodes, key=_canonical_key)
-                    )
+                if s._delta is None:
+                    s._node_order = tuple(sorted(s._nodes, key=_canonical_key))
                 else:
-                    s._node_order = tuple(
-                        sorted(s._nodes, key=_canonical_key)
-                    )
-                s._order_hint = None  # release the ancestor reference
+                    s._node_order = s._delta[0]._node_order + s._delta[4]
         return self._node_order
 
     @property
@@ -675,7 +672,6 @@ class Structure:
                 in_bp[n] = _group_by_pred(self.in_edges(n), False)
             self._out_by_pred = out_bp
             self._in_by_pred = in_bp
-            self._delta = None  # consumed: release the derivation chain
             return
         out: dict[Node, dict[str, set[Node]]] = {n: {} for n in self._nodes}
         inc: dict[Node, dict[str, set[Node]]] = {n: {} for n in self._nodes}
@@ -713,9 +709,35 @@ class Structure:
 
     @property
     def bitset_index(self) -> BitsetIndex:
-        """The interned bitmask view used by the ``bitset`` hom backend."""
+        """The interned bitmask view used by the ``bitset`` and
+        ``decomp`` hom backends.
+
+        Resolved through the derivation chain of :meth:`extended`, the
+        way :attr:`node_order` is: the first read walks up to the
+        nearest ancestor that has an index (or to the chain's root,
+        which builds one from scratch) and applies
+        :meth:`BitsetIndex.extended` down the chain, so a family of
+        structures grown from one root (a probe's cactus universe) pays
+        one full build plus one delta per member.  Resolving the index
+        drops the derivation record, releasing the ancestor reference;
+        views built later from scratch are equal to derived ones.
+        """
         if self._bitset_index is None:
-            self._bitset_index = BitsetIndex(self)
+            self.node_order  # resolves the order down the same chain
+            chain = [self]
+            s = self
+            while s._delta is not None and s._delta[0]._bitset_index is None:
+                s = s._delta[0]
+                chain.append(s)
+            for s in reversed(chain):
+                if s._delta is None:
+                    s._bitset_index = BitsetIndex(s)
+                else:
+                    base, added_u, removed_u, added_b, _ = s._delta
+                    s._bitset_index = BitsetIndex.extended(
+                        base._bitset_index, s, added_u, removed_u, added_b
+                    )
+                    s._delta = None
         return self._bitset_index
 
     @property
@@ -771,15 +793,25 @@ class Structure:
 
         The result equals ``Structure(nodes | add_nodes, (unary -
         remove_unary) | add_unary, binary | add_binary)`` — node for
-        node, fact for fact, fingerprint for fingerprint — but is built
-        by copying this structure's eager indexes and applying only the
-        delta, appending to the interning order, extending the
-        :class:`BitsetIndex` and per-predicate maps when already built,
-        and updating the multiset fingerprint by the delta's line
-        hashes.  Nodes are never removed (dropping a unary fact keeps
+        node, fact for fact, fingerprint for fingerprint.  Building it
+        costs only the new fact sets: the result keeps a derivation
+        record ``(base, added_unary, removed_unary, added_binary,
+        new_nodes)`` and derives its lazy views from the base's on first
+        use — the interning order (:attr:`node_order`), the
+        :class:`BitsetIndex` (:attr:`bitset_index`), the label and
+        neighbour maps, and the engine's source plan.  The multiset
+        fingerprint is updated by the delta's line hashes when the base
+        has one.  Nodes are never removed (dropping a unary fact keeps
         its node), and binary facts are add-only; use the from-scratch
         constructors for anything else.  This is the fast path under
         incremental cactus budding, ``union`` and ``relabel_node``.
+
+        New nodes take the next integer ids in the order ``add_nodes``
+        lists them, followed by any new node that only the added facts
+        mention, sorted by :func:`_canonical_key`.  Pass ``add_nodes``
+        as a sequence (the cactus factory passes each generation's
+        nodes ordered by bud path, then by query variable): a set's
+        iteration order varies with ``PYTHONHASHSEED``.
         """
         add_unary = frozenset(add_unary)
         add_binary = frozenset(add_binary)
@@ -793,75 +825,43 @@ class Structure:
         new_unary = surviving | added_u if added_u else surviving
         added_b = add_binary - self._binary
         new_binary = self._binary | added_b if added_b else self._binary
-        explicit = set(add_nodes)
-        for f in added_u:
-            explicit.add(f.node)
+        base_nodes = self._nodes
+        new_nodes = [n for n in dict.fromkeys(add_nodes) if n not in base_nodes]
+        mentioned = {f.node for f in added_u}
         for f in added_b:
-            explicit.add(f.src)
-            explicit.add(f.dst)
-        new_nodes_set = explicit - self._nodes
-        if not (new_nodes_set or removed_u or added_u or added_b):
+            mentioned.add(f.src)
+            mentioned.add(f.dst)
+        fact_only = mentioned - base_nodes  # iterates the small side
+        if fact_only:
+            fact_only.difference_update(new_nodes)
+            new_nodes.extend(sorted(fact_only, key=_canonical_key))
+        if not (new_nodes or removed_u or added_u or added_b):
             return self
 
         s = Structure.__new__(Structure)
-        s._nodes = (
-            self._nodes | new_nodes_set if new_nodes_set else self._nodes
-        )
+        s._nodes = base_nodes.union(new_nodes) if new_nodes else base_nodes
         s._unary = new_unary
         s._binary = new_binary
         s._hash = None
-
-        touched: set[Node] = set(new_nodes_set)
-        for f in removed_u:
-            touched.add(f.node)
-        for f in added_u:
-            touched.add(f.node)
-        for f in added_b:
-            touched.add(f.src)
-            touched.add(f.dst)
-
-        # The label / adjacency maps stay lazy: _ensure_maps copies the
-        # base's and applies this delta if (and when) anyone asks.
+        s._delta = (self, added_u, removed_u, added_b, tuple(new_nodes))
+        # Every view below is lazy and resolves through _delta.  Dense
+        # matrices are the exception: they don't extend cheaply (a pad
+        # reallocates every predicate's n x n block), so derived
+        # structures rebuild them on demand.
         s._labels_by_node = None
         s._nodes_by_label = None
         s._out = None
         s._in = None
-        s._delta = (self, added_u, removed_u, added_b, new_nodes_set)
-
-        # Interning order: keep the base's ids, append the new nodes.
-        # When the base's order is not materialised yet, the
-        # inheritance is recorded as a hint and resolved lazily (pure
-        # construction — the cactus factory's cold path — then pays
-        # nothing for ordering).
-        if self._node_order is not None:
-            s._node_order = self._node_order + tuple(
-                sorted(new_nodes_set, key=_canonical_key)
-            )
-            s._order_hint = None
-        else:
-            s._node_order = None
-            # new_nodes_set is a fresh local set: share it, no copy.
-            s._order_hint = (self, new_nodes_set)
+        s._node_order = None
         s._node_index = None
-
-        # Per-predicate neighbour maps: lazy, delta-aware (see
-        # _build_pred_maps).
         s._out_by_pred = None
         s._in_by_pred = None
-
-        if self._bitset_index is not None and s._node_order is not None:
-            s._bitset_index = BitsetIndex.extended(
-                self._bitset_index, s, added_u, removed_u, added_b
-            )
-        else:
-            s._bitset_index = None
-        # Dense matrices don't extend cheaply (a pad reallocates every
-        # predicate's n x n block); derived structures rebuild on demand.
+        s._bitset_index = None
         s._matrix_index = None
 
         if self._fingerprint_int is not None:
             delta = 0
-            for n in new_nodes_set:
+            for n in new_nodes:
                 delta += _line_hash(_node_line(n))
             for f in added_u:
                 delta += _line_hash(_unary_line(f))
@@ -881,11 +881,6 @@ class Structure:
         # repro.core.decomp still dedupes content-equal rebuilds).
         s._tree_decomp = None
         s._decomp_plan = None
-        # Order inheritance (eager or hinted) guarantees the id prefix
-        # the engine's plan derivation relies on, so the hint is always
-        # usable.  ``touched`` is a fresh local set and ``added_b`` a
-        # frozenset; both are shared uncopied (consumers only iterate).
-        s._extend_hint = (self, touched, added_b)
         s._unary_preds = None
         s._binary_preds = None
         return s
@@ -925,14 +920,15 @@ class Structure:
         Nodes with equal names are identified, which is how gluing is
         expressed throughout the library (rename first for disjointness).
         The larger side's indexes are extended by the smaller side's
-        facts instead of rebuilding from scratch.
+        facts instead of rebuilding from scratch; the smaller side's new
+        nodes are appended in its own :attr:`node_order`.
         """
         big, small = (
             (self, other) if len(self._nodes) >= len(other._nodes) else
             (other, self)
         )
         return big.extended(
-            add_nodes=small._nodes,
+            add_nodes=small.node_order,
             add_unary=small._unary,
             add_binary=small._binary,
         )

@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from ..core.cq import solitary_f_nodes, solitary_t_nodes, twin_nodes
+from ..core.errors import _resolve_session
 from ..core.homengine import has_homomorphism
 from ..core.structure import F, Node, Structure, T, UnaryFact
 from .structure import DitreeCQ, is_minimal
@@ -50,18 +51,20 @@ class Classification:
         return f"{self.complexity.value}: " + "; ".join(self.reasons)
 
 
-def theorem7_applies(cq: DitreeCQ) -> tuple[bool, str]:
+def theorem7_applies(cq: DitreeCQ, session=None) -> tuple[bool, str]:
     """Does Theorem 7 make ``(Δ_q, G)`` NL-hard?
 
     Requires a *minimal* ditree CQ with at least one solitary F and one
     solitary T, and either (i) a ≺-comparable solitary pair, or (ii) not
-    quasi-symmetric and twin-free.
+    quasi-symmetric and twin-free.  The symmetry test's hom searches run
+    in ``session`` (the default session when omitted).
     """
     if not solitary_f_nodes(cq.query) or not solitary_t_nodes(cq.query):
         return False, "needs a solitary F and a solitary T"
     if cq.comparable_solitary_pairs():
         return True, "case (i): a ≺-comparable solitary pair exists"
-    if not cq.twins and not cq.is_quasi_symmetric():
+    session = _resolve_session(session)
+    if not cq.twins and not cq.is_quasi_symmetric(session=session):
         return True, "case (ii): twin-free and not quasi-symmetric"
     return False, "neither case of Theorem 7 applies"
 
@@ -115,11 +118,14 @@ def _contact_chain_model(
     return Structure((), unary, binary)
 
 
-def contact_models_admit_q(cq: DitreeCQ) -> tuple[bool, bool]:
+def contact_models_admit_q(
+    cq: DitreeCQ, session=None
+) -> tuple[bool, bool]:
     """For the unique solitary pair (t, f): does ``q`` map into the
     contact-chain model with both contacts F, resp. both contacts T?
 
-    This is the polynomial test in the proof of Theorem 11.
+    This is the polynomial test in the proof of Theorem 11; both hom
+    searches run in ``session`` (the default session when omitted).
     """
     ts = sorted(solitary_t_nodes(cq.query), key=str)
     fs = sorted(solitary_f_nodes(cq.query), key=str)
@@ -128,19 +134,21 @@ def contact_models_admit_q(cq: DitreeCQ) -> tuple[bool, bool]:
     t, f = ts[0], fs[0]
     model_f = _contact_chain_model(cq, t, f, F)
     model_t = _contact_chain_model(cq, t, f, T)
+    session = _resolve_session(session)
     return (
-        has_homomorphism(cq.query, model_f),
-        has_homomorphism(cq.query, model_t),
+        has_homomorphism(cq.query, model_f, session=session),
+        has_homomorphism(cq.query, model_t, session=session),
     )
 
 
-def theorem11_trichotomy(cq: DitreeCQ) -> Classification:
+def theorem11_trichotomy(cq: DitreeCQ, session=None) -> Classification:
     """FO / L-complete / NL-complete for one solitary F + one solitary T.
 
     Follows the proof of Theorem 11: a ≺-comparable pair gives NL
     (items (c) + Theorem 7 (i)); a quasi-symmetric query gives L (item
     (d) + Appendix G); otherwise the contact-model test separates
-    FO-rewritable from NL-hard.
+    FO-rewritable from NL-hard.  Every hom search runs in ``session``
+    (the default session when omitted).
     """
     ts = solitary_t_nodes(cq.query)
     fs = solitary_f_nodes(cq.query)
@@ -149,6 +157,7 @@ def theorem11_trichotomy(cq: DitreeCQ) -> Classification:
             "Theorem 11 needs exactly one solitary F and one solitary T"
         )
     (t,), (f,) = sorted(ts, key=str), sorted(fs, key=str)
+    session = _resolve_session(session)
     if cq.comparable(t, f):
         return Classification(
             Complexity.NL,
@@ -157,7 +166,7 @@ def theorem11_trichotomy(cq: DitreeCQ) -> Classification:
                 "(item (c)) and NL-hardness by Theorem 7 (i)",
             ),
         )
-    if cq.is_quasi_symmetric():
+    if cq.is_quasi_symmetric(session=session):
         return Classification(
             Complexity.L,
             (
@@ -165,7 +174,7 @@ def theorem11_trichotomy(cq: DitreeCQ) -> Classification:
                 "(item (d)) and L-hardness by Appendix G",
             ),
         )
-    admits_f, admits_t = contact_models_admit_q(cq)
+    admits_f, admits_t = contact_models_admit_q(cq, session=session)
     if admits_f or admits_t:
         return Classification(
             Complexity.AC0,
@@ -188,9 +197,11 @@ def theorem11_trichotomy(cq: DitreeCQ) -> Classification:
 # ----------------------------------------------------------------------
 
 
-def classify_disjoint(cq: DitreeCQ) -> Classification:
+def classify_disjoint(cq: DitreeCQ, session=None) -> Classification:
     """Corollary 8: every ditree ``(Δ⁺_q, G)`` is FO-rewritable (twins
-    present), L-hard (quasi-symmetric, twin-free), or NL-hard."""
+    present), L-hard (quasi-symmetric, twin-free), or NL-hard.  The
+    symmetry test's hom searches run in ``session`` (the default
+    session when omitted)."""
     if twin_nodes(cq.query):
         return Classification(
             Complexity.AC0,
@@ -204,7 +215,7 @@ def classify_disjoint(cq: DitreeCQ) -> Classification:
             Complexity.AC0,
             ("q lacks a solitary F or T: no case distinction arises",),
         )
-    if cq.is_quasi_symmetric():
+    if cq.is_quasi_symmetric(session=_resolve_session(session)):
         return Classification(
             Complexity.L_HARD,
             ("twin-free and quasi-symmetric: L-hard by [22]/Appendix G",),
@@ -220,17 +231,22 @@ def classify_disjoint(cq: DitreeCQ) -> Classification:
 # ----------------------------------------------------------------------
 
 
-def classify_plain(cq: DitreeCQ, check_minimality: bool = True) -> Classification:
+def classify_plain(
+    cq: DitreeCQ, check_minimality: bool = True, session=None
+) -> Classification:
     """Best-effort data-complexity classification of a ditree ``(Δ_q, G)``.
 
     Exact for: no solitary F (AC0), one solitary F + one solitary T
     (Theorem 11 trichotomy).  For one solitary F and several solitary Ts
     it reports the datalog upper bound plus any Theorem 7 hardness; the
     FO/L dichotomy inside that fragment is decided by
-    :mod:`repro.ditree.lambda_cq` for Λ-CQs.
+    :mod:`repro.ditree.lambda_cq` for Λ-CQs.  Every hom search (the
+    minimality check, the symmetry and contact-model tests) runs in
+    ``session``, resolved once (the default session when omitted).
     """
+    session = _resolve_session(session)
     reasons: list[str] = []
-    if check_minimality and not is_minimal(cq.query):
+    if check_minimality and not is_minimal(cq.query, session=session):
         reasons.append("warning: q is not minimal; classify its core")
     fs = solitary_f_nodes(cq.query)
     ts = solitary_t_nodes(cq.query)
@@ -241,10 +257,10 @@ def classify_plain(cq: DitreeCQ, check_minimality: bool = True) -> Classificatio
             + ("no solitary F: FO-rewritable by [22] item (a)",),
         )
     if len(fs) == 1 and len(ts) == 1:
-        base = theorem11_trichotomy(cq)
+        base = theorem11_trichotomy(cq, session=session)
         return Classification(base.complexity, tuple(reasons) + base.reasons)
     if len(fs) == 1:
-        hard, why = theorem7_applies(cq)
+        hard, why = theorem7_applies(cq, session=session)
         if hard:
             return Classification(
                 Complexity.NL_HARD,

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.cq import solitary_f_nodes, solitary_t_nodes, twin_nodes
+from ..core.errors import _resolve_session
 from ..core.homengine import has_homomorphism, iter_homomorphisms
 from ..core.structure import F, Node, Structure, T
 
@@ -144,24 +145,31 @@ class DitreeCQ:
         trimmed = trimmed.relabel_node(f, remove=[F])
         return trimmed
 
-    def is_symmetric_pair(self, t: Node, f: Node) -> bool:
+    def is_symmetric_pair(self, t: Node, f: Node, session=None) -> bool:
         """A ≺-incomparable pair is symmetric if the trunk admits an
-        automorphism (root-preserving isomorphism) swapping t and f."""
+        automorphism (root-preserving isomorphism) swapping t and f.
+        The search runs in ``session`` (the default session when
+        omitted)."""
         if self.comparable(t, f):
             return False
         trunk = self.trunk(t, f)
-        for hom in iter_homomorphisms(trunk, trunk, seed={t: f, f: t}):
+        for hom in iter_homomorphisms(
+            trunk, trunk, seed={t: f, f: t},
+            session=_resolve_session(session),
+        ):
             if len(set(hom.values())) == len(trunk.nodes):
                 return True
         return False
 
-    def is_quasi_symmetric(self) -> bool:
+    def is_quasi_symmetric(self, session=None) -> bool:
         """No ≺-comparable solitary pairs, and every minimal-distance
-        solitary pair is symmetric."""
+        solitary pair is symmetric.  The symmetry searches run in
+        ``session`` (the default session when omitted)."""
         if self.comparable_solitary_pairs():
             return False
+        session = _resolve_session(session)
         return all(
-            self.is_symmetric_pair(t, f)
+            self.is_symmetric_pair(t, f, session=session)
             for t, f in self.minimal_distance_pairs()
         )
 
@@ -187,35 +195,43 @@ class DitreeCQ:
         return twin_nodes(self.query)
 
 
-def is_minimal(q: Structure) -> bool:
+def is_minimal(q: Structure, session=None) -> bool:
     """Minimality of a CQ: no homomorphism into a proper sub-CQ.
 
     For tree-shaped CQs this is polynomial (we exploit that dropping a
     leaf preserves tree shape); the generic fallback drops any node.
+    The hom searches run in ``session`` (the default session when
+    omitted).
     """
+    session = _resolve_session(session)
     for node in q.nodes:
-        if has_homomorphism(q, q.without_nodes([node])):
+        if has_homomorphism(q, q.without_nodes([node]), session=session):
             return False
     return True
 
 
-def minimise(q: Structure) -> Structure:
-    """Iteratively remove nodes while a retraction exists (the core)."""
+def minimise(q: Structure, session=None) -> Structure:
+    """Iteratively remove nodes while a retraction exists (the core).
+    The hom searches run in ``session`` (the default session when
+    omitted)."""
+    session = _resolve_session(session)
     current = q
     changed = True
     while changed:
         changed = False
         for node in sorted(current.nodes, key=str):
             candidate = current.without_nodes([node])
-            if has_homomorphism(current, candidate):
+            if has_homomorphism(current, candidate, session=session):
                 current = candidate
                 changed = True
                 break
     return current
 
 
-def ditree_pairs_summary(cq: DitreeCQ) -> dict[str, object]:
-    """A structural report used by the classifiers and the examples."""
+def ditree_pairs_summary(cq: DitreeCQ, session=None) -> dict[str, object]:
+    """A structural report used by the classifiers and the examples;
+    the symmetry test runs in ``session`` (the default session when
+    omitted)."""
     pairs = cq.solitary_pairs()
     return {
         "root": cq.root,
@@ -225,7 +241,7 @@ def ditree_pairs_summary(cq: DitreeCQ) -> dict[str, object]:
             min(cq.distance(t, f) for t, f in pairs) if pairs else None
         ),
         "twins": len(cq.twins),
-        "quasi_symmetric": cq.is_quasi_symmetric(),
+        "quasi_symmetric": cq.is_quasi_symmetric(session=session),
         "lambda_cq": cq.is_lambda_cq(),
         "span": cq.span(),
     }

@@ -13,7 +13,6 @@ from repro.atm.encoding import (
     gamma_depth,
     gamma_paths,
     gamma_tree,
-    ideal_tree_cut,
     incorrect_nodes,
     is_correct,
     is_good,
@@ -196,12 +195,11 @@ class TestBetaTrees:
         assert first[0] == second[0]
         assert second[1] == 0
 
-    def test_ideal_tree_restarts_below_bit_leaves(self):
-        machine, params, trees = setup_toy(toy_accept_machine)
-        gd = gamma_depth(params)
-        tree = ideal_tree_cut(
-            params, machine, "1", lambda _i: trees[0], gd + 4 + gd + 4
-        )
+    def test_ideal_tree_restarts_below_bit_leaves(self, deep_accept_tree):
+        # The module's shared 2*gd+12 cut of the same machine, word,
+        # cells and computation tree: deep enough for the restart below
+        # the first bit-leaf of the root configuration tree.
+        machine, params, tree, _ = deep_accept_tree
         # Find a bit-leaf of the root configuration tree and check the
         # restart below it carries c_init.
         bits = encode_configuration(

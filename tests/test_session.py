@@ -501,6 +501,38 @@ class TestDefaultSessionShims:
                 set_default_session(fresh_default)
         assert (kernel_calls["naive"], kernel_calls["bitset"]) == (1, 1)
 
+    @pytest.mark.parametrize("name", ["q4", "q5"])
+    def test_classifiers_run_in_the_given_session(
+        self, fresh_default, kernel_calls, name
+    ):
+        """The classifiers and the minimality helpers take ``session=``
+        and run every hom search there, not in the (bitset) default
+        session: q4 reaches the symmetry test, q5 the contact models."""
+        from repro.ditree import (
+            DitreeCQ,
+            classify_disjoint,
+            classify_plain,
+            contact_models_admit_q,
+            is_minimal,
+            minimise,
+            theorem11_trichotomy,
+        )
+
+        q = getattr(zoo, name)()
+        cq = DitreeCQ.from_structure(q)
+        with Session(EngineConfig(backend="naive")) as naive:
+            plain = classify_plain(cq, session=naive)
+            assert kernel_calls["naive"] > 0
+            classify_disjoint(cq, session=naive)
+            theorem11_trichotomy(cq, session=naive)
+            contact_models_admit_q(cq, session=naive)
+            cq.is_quasi_symmetric(session=naive)
+            assert is_minimal(q, session=naive)
+            assert minimise(q, session=naive) == q
+        assert kernel_calls["bitset"] == 0
+        assert classify_plain(cq) == plain  # same answer in the default
+        assert kernel_calls["bitset"] > 0
+
     def test_screen_zoo_accepts_session(self):
         family = instance_family(count=3, n=10, edge_count=15, seed=12)
         with Session(EngineConfig(backend="naive")) as s:
